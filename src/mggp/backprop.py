@@ -21,15 +21,19 @@ import numpy as np
 from scipy.special import expit
 
 from .exprtree import (
+    FORWARD,
+    N_BINARY,
+    OP_CONST,
+    POWER_EXPONENT,
+    SLOT,
     Fn,
-    Func,
     Lcf,
     LcfWeights,
     Node,
-    POWER_EXPONENT,
     logsig_is_increasing,
+    run_tape,
 )
-from .fitness import ols_fit, r_squared
+from .fitness import fit_and_score
 
 
 @dataclass(frozen=True)
@@ -57,53 +61,108 @@ class StepBudget:
 
 
 class EvalTrace:
-    """Forward values of every node of an individual on one input matrix.
+    """Forward values of every tape slot of an individual's genes on one
+    input matrix.
 
-    Maps node objects (by identity) to their n-sample output vectors and
-    keeps the inputs, which the backward pass needs for the ``b`` partials.
+    Maps each distinct gene (by identity) to its per-slot n-sample output
+    vectors, root last, and keeps the inputs, which the backward pass needs
+    for the ``b`` partials.
     """
 
-    __slots__ = ("values", "X")
+    __slots__ = ("slots", "X")
 
     def __init__(self, X: np.ndarray) -> None:
-        self.values: dict[Node, np.ndarray] = {}
+        self.slots: dict = {}
         self.X = X
 
+    def roots(self, individual) -> list[np.ndarray]:
+        """Root output vectors of the individual's genes, in gene order."""
+        return [self.slots[gene][-1] for gene in individual.genes]
+
     def value(self, node: Node) -> np.ndarray:
-        return self.values[node]
+        """The output vector of one node of a traced gene.
+
+        Inner slots of a gene without LCF leaves are not recorded; they are
+        recomputed from the gene's tape on request.
+        """
+        for gene, values in self.slots.items():
+            for slot, candidate in enumerate(gene.nodes):
+                if candidate is node:
+                    if values[slot] is None:
+                        with np.errstate(all="ignore"):
+                            values = run_tape(gene, self.X)
+                    return values[slot]
+        raise KeyError(node)
 
 
-def forward_trace(individual, X) -> EvalTrace:
-    """Evaluate all genes, recording per-node outputs.
+def forward_trace(individual, X, token=None) -> EvalTrace:
+    """Evaluate all genes, recording per-slot outputs.
 
     Root values are identical to :func:`mggp.exprtree.eval_batch` on the
-    same trees.
+    same trees.  A gene without LCF leaves records only its root, read
+    through :meth:`Gene.output` (cached when ``token``, the dataset token of
+    ``X``, is given): its value never changes and the backward pass never
+    enters it.
     """
     X = np.asarray(X, dtype=float)
     trace = EvalTrace(X)
     with np.errstate(all="ignore"):
         for gene in individual.genes:
-            _trace_node(gene.root, X, trace.values)
+            if gene in trace.slots:
+                continue
+            if gene.has_lcf:
+                trace.slots[gene] = run_tape(gene, X)
+            else:
+                trace.slots[gene] = [None] * (gene.node_count - 1) + [gene.output(X, token)]
     return trace
 
 
-def _trace_node(node: Node, X: np.ndarray, out: dict) -> np.ndarray:
-    from .exprtree import _eval, apply_fn  # leaf handling shared with eval_batch
-
-    if isinstance(node, Func):
-        value = apply_fn(node.kind, [_trace_node(c, X, out) for c in node.children])
-    else:
-        value = _eval(node, X)
-    out[node] = value
-    return value
-
-
-def _refresh_lcf_genes(individual, trace: EvalTrace) -> None:
-    """Recompute trace entries of LCF-bearing genes after a weight change."""
+def _refresh_lcf_genes(trace: EvalTrace) -> None:
+    """Recompute the LCF-dependent trace slots after a weight change."""
     with np.errstate(all="ignore"):
-        for gene in individual.genes:
+        for gene, values in trace.slots.items():
             if gene.has_lcf:
-                _trace_node(gene.root, trace.X, trace.values)
+                run_tape(gene, trace.X, values)
+
+
+# ---------------------------------------------------------------------------
+# derivative table
+#
+# One function per operator, indexed by opcode like the forward table:
+# ``(x, y, out, i)`` gives d(out)/d(child i) from the child values ``x``
+# and ``y`` (``None`` for unary operators) and the operator's own output.
+# The exp, tanh, gauss and increasing-logsig derivatives reuse ``out``,
+# which equals the transcendental they would otherwise recompute.
+
+
+def _d_logsig(x, y, out, i):
+    if logsig_is_increasing():
+        return out * (1.0 - out)
+    s = expit(x)
+    return -(s * (1.0 - s))
+
+
+def _d_sinc(x, y, out, i):
+    num = x * np.cos(x) - np.sin(x)
+    return np.where(x == 0.0, 0.0, num / np.square(x))
+
+
+DERIVATIVE = {
+    Fn.ADD: lambda x, y, out, i: np.ones_like(x),
+    Fn.SUB: lambda x, y, out, i: np.ones_like(x) if i == 0 else -np.ones_like(x),
+    Fn.MUL: lambda x, y, out, i: y if i == 0 else x,
+    Fn.SIN: lambda x, y, out, i: np.cos(x),
+    Fn.COS: lambda x, y, out, i: -np.sin(x),
+    Fn.EXP: lambda x, y, out, i: out,
+    Fn.LOGSIG: _d_logsig,
+    Fn.TANH: lambda x, y, out, i: 1.0 - out * out,
+    Fn.SINC: _d_sinc,
+    Fn.SOFTPLUS: lambda x, y, out, i: expit(x),
+    Fn.GAUSS: lambda x, y, out, i: -2.0 * x * out,
+    **{kind: (lambda x, y, out, i, k=k: k * x ** (k - 1)) for kind, k in POWER_EXPONENT.items()},
+}
+_DERIVATIVE_BY_OP = tuple(DERIVATIVE[kind] for kind in Fn)
+_USES_OUTPUT = frozenset((Fn.EXP, Fn.LOGSIG, Fn.TANH, Fn.GAUSS))
 
 
 def local_derivative(kind: Fn, child_values, child_index: int = 0) -> np.ndarray:
@@ -111,36 +170,11 @@ def local_derivative(kind: Fn, child_values, child_index: int = 0) -> np.ndarray
 
     Singular points take their limit values (sinc' at 0 is 0).
     """
-    x = np.asarray(child_values[0], dtype=float)
+    args = [np.asarray(v, dtype=float) for v in child_values]
+    y = args[1] if len(args) > 1 else None
     with np.errstate(all="ignore"):
-        if kind is Fn.ADD:
-            return np.ones_like(x)
-        if kind is Fn.SUB:
-            return np.ones_like(x) if child_index == 0 else -np.ones_like(x)
-        if kind is Fn.MUL:
-            return np.asarray(child_values[1 - child_index], dtype=float)
-        if kind is Fn.SIN:
-            return np.cos(x)
-        if kind is Fn.COS:
-            return -np.sin(x)
-        if kind is Fn.EXP:
-            return np.exp(x)
-        if kind is Fn.LOGSIG:
-            s = expit(x)
-            d = s * (1.0 - s)
-            return d if logsig_is_increasing() else -d
-        if kind is Fn.TANH:
-            t = np.tanh(x)
-            return 1.0 - t * t
-        if kind is Fn.SINC:
-            num = x * np.cos(x) - np.sin(x)
-            return np.where(x == 0.0, 0.0, num / np.square(x))
-        if kind is Fn.SOFTPLUS:
-            return expit(x)
-        if kind is Fn.GAUSS:
-            return -2.0 * x * np.exp(-np.square(x))
-        k = POWER_EXPONENT[kind]
-        return k * x ** (k - 1)
+        out = FORWARD[kind](*args) if kind in _USES_OUTPUT else None
+        return DERIVATIVE[kind](args[0], y, out, child_index)
 
 
 class GradientTable:
@@ -180,30 +214,48 @@ def backward(individual, trace: EvalTrace, y, top_model) -> GradientTable:
     table = GradientTable(individual.weight_sets())
     with np.errstate(all="ignore"):
         yhat = top_model.c0 + sum(
-            c * trace.value(g.root) for c, g in zip(top_model.c, individual.genes)
+            c * root for c, root in zip(top_model.c, trace.roots(individual))
         )
         residual2 = 2.0 * (yhat - y)
         for c, gene in zip(top_model.c, individual.genes):
             if c == 0.0 or not gene.has_lcf:
                 continue
-            _backward_node(gene.root, residual2 * c, trace, table)
+            _sweep(gene, trace.slots[gene], residual2 * c, trace.X, table.entries)
     table.check_finite()
     return table
 
 
-def _backward_node(node: Node, adjoint: np.ndarray, trace: EvalTrace, table: GradientTable) -> None:
-    if isinstance(node, Lcf):
-        entry = table.entries[node.weights]
-        entry[0] += float(adjoint.sum())
-        entry[1] += trace.X.T @ adjoint
-        return
-    if not isinstance(node, Func):
-        return
-    child_values = tuple(trace.value(c) for c in node.children)
-    for i, child in enumerate(node.children):
-        if isinstance(child, (Func, Lcf)):
-            d = local_derivative(node.kind, child_values, i)
-            _backward_node(child, adjoint * d, trace, table)
+def _sweep(gene, values: list, adjoint: np.ndarray, X: np.ndarray, entries: dict) -> None:
+    """Reverse sweep over one gene's tape from the root ``adjoint``.
+
+    Adjoints flow only into slots whose subtree holds an LCF leaf; the LCF
+    leaves then add their partials in left-to-right order.
+    """
+    program = gene.program
+    adjoints = [None] * len(values)
+    adjoints[-1] = adjoint
+    code = reversed(program)
+    slot = len(values)
+    for b, a, _, op in zip(code, code, code, code):
+        slot -= 1
+        g = adjoints[slot]
+        if g is None or op >= OP_CONST:
+            continue
+        d = _DERIVATIVE_BY_OP[op]
+        if op < N_BINARY:
+            x, other = values[a], values[b]
+            if program[SLOT * a + 1]:
+                adjoints[a] = g * d(x, other, values[slot], 0)
+            if program[SLOT * b + 1]:
+                adjoints[b] = g * d(x, other, values[slot], 1)
+        else:
+            # the only child of an LCF-dependent operator depends on one too
+            adjoints[a] = g * d(values[a], None, values[slot], 0)
+    for node, g in zip(gene.nodes, adjoints):
+        if g is not None and isinstance(node, Lcf):
+            entry = entries[node.weights]
+            entry[0] += float(g.sum())
+            entry[1] += X.T @ g
 
 
 def irprop_minus_step(grads: GradientTable, params: RpropParams = RpropParams()) -> None:
@@ -239,20 +291,6 @@ def irprop_minus_step(grads: GradientTable, params: RpropParams = RpropParams())
         w.prev_grad = g
 
 
-def _fit_from_trace(individual, trace: EvalTrace, y):
-    """OLS refit from current trace roots; ``(None, None)`` on non-finite."""
-    G = np.column_stack([trace.value(g.root) for g in individual.genes])
-    if not np.isfinite(G).all():
-        return None, None
-    model = ols_fit(G, y)
-    if not (np.isfinite(model.c0) and np.isfinite(model.c).all()):
-        return None, None
-    r2 = r_squared(y, model.predict(G))
-    if not np.isfinite(r2):
-        return None, None
-    return model, r2
-
-
 def _snapshot_weights(individual) -> dict[LcfWeights, tuple[float, np.ndarray]]:
     return {w: w.values() for w in individual.weight_sets()}
 
@@ -278,8 +316,8 @@ def tune(individual, train, budget: StepBudget = StepBudget(), mode: str = "U",
         return individual
     X, y = train.X, train.y
     n_steps = budget.steps_for(individual.total_nodes())
-    trace = forward_trace(individual, X)
-    model, r2 = _fit_from_trace(individual, trace, y)
+    trace = forward_trace(individual, X, train.token)
+    model, r2 = fit_and_score(trace.roots(individual), y)
     best_r2 = -np.inf if r2 is None else r2
     best = _snapshot_weights(individual)
     for _ in range(n_steps):
@@ -290,8 +328,8 @@ def tune(individual, train, budget: StepBudget = StepBudget(), mode: str = "U",
             break
         irprop_minus_step(grads, params)
         individual.bump_weights_version()
-        _refresh_lcf_genes(individual, trace)
-        model, r2 = _fit_from_trace(individual, trace, y)
+        _refresh_lcf_genes(trace)
+        model, r2 = fit_and_score(trace.roots(individual), y)
         if r2 is not None and r2 > best_r2:
             best_r2 = r2
             best = _snapshot_weights(individual)
@@ -336,8 +374,8 @@ def global_tune(population, table: GlobalWeightTable, train, steps: int = 2,
         for individual in population:  # fixed ascending order for determinism
             if not individual.has_lcf():
                 continue
-            trace = forward_trace(individual, X)
-            model, _ = _fit_from_trace(individual, trace, y)
+            trace = forward_trace(individual, X, train.token)
+            model, _ = fit_and_score(trace.roots(individual), y)
             if model is None:
                 continue
             grads = backward(individual, trace, y, model)

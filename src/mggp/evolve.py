@@ -42,7 +42,6 @@ from .exprtree import (
     TerminalConfig,
     copy_tree,
     format_tree,
-    iter_nodes,
     iter_paths,
     node_at,
     pick_node,
@@ -159,7 +158,7 @@ class EngineConfig:
 class Individual:
     """A set of gene trees plus cached top-level model and fitness."""
 
-    __slots__ = ("genes", "dim", "model", "fitness", "_wver", "_fit_key")
+    __slots__ = ("genes", "dim", "model", "fitness", "_wver", "_fit_key", "_rank")
 
     def __init__(self, genes, dim: int) -> None:
         self.genes: list[Gene] = list(genes)
@@ -168,6 +167,7 @@ class Individual:
         self.fitness = None
         self._wver = 0
         self._fit_key = None
+        self._rank = None  # (fitness report, ordering key derived from it)
 
     def total_nodes(self) -> int:
         return sum(g.node_count for g in self.genes)
@@ -176,27 +176,16 @@ class Individual:
         return any(g.has_lcf for g in self.genes)
 
     def lcf_nodes(self) -> list[Lcf]:
-        out = []
-        for gene in self.genes:
-            if gene.has_lcf:
-                out.extend(n for n in iter_nodes(gene.root) if isinstance(n, Lcf))
-        return out
+        """LCF leaves of all genes, gene by gene, each in pre-order."""
+        return [node for gene in self.genes for node in gene.lcf_leaves()]
 
     def weight_sets(self) -> list[LcfWeights]:
         """Distinct weight objects in first-encounter (pre-order) order."""
-        seen: list[LcfWeights] = []
-        ids = set()
-        for node in self.lcf_nodes():
-            if id(node.weights) not in ids:
-                ids.add(id(node.weights))
-                seen.append(node.weights)
-        return seen
+        return list(dict.fromkeys(node.weights for node in self.lcf_nodes()))
 
-    def gene_matrix(self, data, epoch: int = 0) -> np.ndarray:
+    def gene_outputs(self, data, epoch: int = 0) -> list[np.ndarray]:
         version = (self._wver, epoch)
-        return np.column_stack(
-            [g.output(data.X, data.token, version) for g in self.genes]
-        )
+        return [g.output(data.X, data.token, version) for g in self.genes]
 
     def bump_weights_version(self) -> None:
         self._wver += 1
@@ -283,7 +272,12 @@ class Engine:
         """Orders individuals: valid above invalid, then higher R^2, then
         fewer total nodes."""
         report = self.evaluate(ind)
-        return (*report.order_key, -ind.total_nodes())
+        rank = ind._rank
+        if rank is None or rank[0] is not report:
+            # genes are only replaced before an offspring is first
+            # evaluated, so the node total is fixed once a report exists
+            rank = ind._rank = (report, (*report.order_key, -ind.total_nodes()))
+        return rank[1]
 
     # -- structure handling -------------------------------------------
 

@@ -12,13 +12,17 @@ return new trees that share untouched subtrees with the original.  The one
 sanctioned mutation is rebinding ``Lcf.weights``, which individual-level
 synchronisation code uses to (re)share weight sets.
 
-Evaluation is vectorised over sample rows and propagates non-finite values
-untouched; the fitness layer decides what to do with them.
+Each :class:`Gene` compiles its tree once into a flat postfix tape, which
+evaluation, the gradient module's forward trace and its backward sweep all
+run over.  Evaluation is vectorised over sample rows and propagates
+non-finite values untouched; the fitness layer decides what to do with
+them.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -201,71 +205,145 @@ class Lcf(Node):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# operator table
+#
+# One forward function per operator.  A tape names an operator by its opcode,
+# the position of its kind in ``Fn`` (the three binary kinds come first), and
+# dispatches through this table; :func:`apply_fn` is its public face.
+
+
+_KINDS = list(Fn)
+N_BINARY = 3  # opcodes below this take two children
+FORWARD = {
+    Fn.ADD: np.add,
+    Fn.SUB: np.subtract,
+    Fn.MUL: np.multiply,
+    Fn.SIN: np.sin,
+    Fn.COS: np.cos,
+    Fn.EXP: np.exp,
+    Fn.LOGSIG: lambda x: expit(x) if _LOGSIG_INCREASING else expit(-x),
+    Fn.TANH: np.tanh,
+    # sin(x)/x with the limit value 1 at x = 0
+    Fn.SINC: lambda x: np.where(x == 0.0, 1.0, np.sin(x) / x),
+    Fn.SOFTPLUS: lambda x: np.logaddexp(0.0, x),
+    Fn.GAUSS: lambda x: np.exp(-np.square(x)),
+    **{kind: (lambda x, k=k: x ** k) for kind, k in POWER_EXPONENT.items()},
+}
+_FORWARD_BY_OP = tuple(FORWARD[kind] for kind in _KINDS)
+
+# leaf opcodes follow the operator opcodes
+OP_CONST, OP_VAR, OP_LCF = len(_KINDS), len(_KINDS) + 1, len(_KINDS) + 2
 
 
 def apply_fn(kind: Fn, args: list[np.ndarray]) -> np.ndarray:
     """Apply one operator to already-evaluated child vectors."""
-    x = args[0]
-    if kind is Fn.ADD:
-        return args[0] + args[1]
-    if kind is Fn.SUB:
-        return args[0] - args[1]
-    if kind is Fn.MUL:
-        return args[0] * args[1]
-    if kind is Fn.SIN:
-        return np.sin(x)
-    if kind is Fn.COS:
-        return np.cos(x)
-    if kind is Fn.EXP:
-        return np.exp(x)
-    if kind is Fn.LOGSIG:
-        return expit(x) if _LOGSIG_INCREASING else expit(-x)
-    if kind is Fn.TANH:
-        return np.tanh(x)
-    if kind is Fn.SINC:
-        # sin(x)/x with the limit value 1 at x = 0
-        return np.where(x == 0.0, 1.0, np.sin(x) / x)
-    if kind is Fn.SOFTPLUS:
-        return np.logaddexp(0.0, x)
-    if kind is Fn.GAUSS:
-        return np.exp(-np.square(x))
-    return x ** POWER_EXPONENT[kind]
+    return FORWARD[kind](*args)
 
 
-def eval_batch(root: Node, X) -> np.ndarray:
-    """Evaluate ``root`` on every row of ``X`` (n x d).
+# ---------------------------------------------------------------------------
+# tapes
+#
+# A gene's tree is compiled once into a postfix tape: slot ``i`` holds the
+# ``i``-th node of a post-order walk, so every child precedes its parent and
+# the root is the last slot.  The program is a flat integer array with four
+# entries per slot: opcode, LCF flag (1 if the slot's subtree holds an LCF
+# leaf), first child slot and second child slot (-1 where absent).  The
+# node objects sit beside it, one per slot, so leaves read their value,
+# index and current weights at run time.
 
-    Deterministic; non-finite intermediates (overflow in powers/exp)
-    propagate into the result without masking.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise StructuralError("X must be 2-d (samples x features)")
-    with np.errstate(all="ignore"):
-        return _eval(root, X)
+SLOT = 4  # program entries per slot
+_OPCODE_BY_NAME = {kind.value: op for op, kind in enumerate(_KINDS)}
+_LEAF_OPCODE = {Const: OP_CONST, Var: OP_VAR, Lcf: OP_LCF}
 
 
-def _eval(node: Node, X: np.ndarray) -> np.ndarray:
-    if isinstance(node, Func):
-        return apply_fn(node.kind, [_eval(c, X) for c in node.children])
-    if isinstance(node, Const):
+def compile_tree(root: Node) -> tuple[array, tuple[Node, ...], int]:
+    """Compile ``root`` into ``(program, nodes, depth)`` in one walk."""
+    program: list[int] = []
+    nodes: list[Node] = []
+    heights: list[int] = []
+
+    def visit(node: Node) -> int:
+        if isinstance(node, Func):
+            kids = [visit(c) for c in node.children]
+            flag = height = 0
+            for c in kids:
+                flag |= program[SLOT * c + 1]
+                height = max(height, heights[c])
+            op = _OPCODE_BY_NAME[node.kind._value_]
+            program.extend((op, flag, kids[0], kids[1] if len(kids) == 2 else -1))
+            heights.append(height + 1)
+        else:
+            op = _LEAF_OPCODE.get(type(node))
+            if op is None:
+                raise StructuralError(f"unknown node type {type(node).__name__}")
+            program.extend((op, int(op == OP_LCF), -1, -1))
+            heights.append(0)
+        nodes.append(node)
+        return len(nodes) - 1
+
+    visit(root)
+    typecode = "h" if len(nodes) < 2**15 else "i"
+    return array(typecode, program), tuple(nodes), heights[-1]
+
+
+def _leaf_value(op: int, node: Node, X: np.ndarray) -> np.ndarray:
+    if op == OP_CONST:
         return np.full(X.shape[0], node.value)
-    if isinstance(node, Var):
+    if op == OP_VAR:
         if node.index > X.shape[1]:
             raise StructuralError(
                 f"variable index {node.index} exceeds data dimensionality {X.shape[1]}"
             )
         return X[:, node.index - 1]
-    if isinstance(node, Lcf):
-        w = node.weights
-        if node.index > X.shape[1] or w.dim != X.shape[1]:
-            raise StructuralError(
-                f"LCF leaf (index {node.index}, {w.dim} weights) does not match "
-                f"data dimensionality {X.shape[1]}"
-            )
-        return w.a + X @ w.b
-    raise StructuralError(f"unknown node type {type(node).__name__}")
+    w = node.weights
+    if node.index > X.shape[1] or w.dim != X.shape[1]:
+        raise StructuralError(
+            f"LCF leaf (index {node.index}, {w.dim} weights) does not match "
+            f"data dimensionality {X.shape[1]}"
+        )
+    return w.a + X @ w.b
+
+
+def run_tape(gene: "Gene", X: np.ndarray, values: list | None = None) -> list[np.ndarray]:
+    """Evaluate every slot of ``gene``'s tape on the rows of ``X``.
+
+    Returns the per-slot output vectors, root last.  Given the ``values`` of
+    an earlier run on the same ``X``, recomputes only the slots whose
+    subtree holds an LCF leaf, in place, and returns them.  Non-finite
+    values propagate; callers run this under ``np.errstate(all="ignore")``.
+    """
+    nodes = gene.nodes
+    refresh = values is not None
+    if not refresh:
+        values = [None] * len(nodes)
+    code = iter(gene.program)
+    for slot, (op, flag, a, b) in enumerate(zip(code, code, code, code)):
+        if refresh and not flag:
+            continue
+        if op < N_BINARY:
+            values[slot] = _FORWARD_BY_OP[op](values[a], values[b])
+        elif op < OP_CONST:
+            values[slot] = _FORWARD_BY_OP[op](values[a])
+        else:
+            values[slot] = _leaf_value(op, nodes[slot], X)
+    return values
+
+
+def eval_batch(root: Node, X, gene: "Gene | None" = None) -> np.ndarray:
+    """Evaluate ``root`` on every row of ``X`` (n x d).
+
+    ``gene`` may name a :class:`Gene` whose tape is used if its root is
+    ``root``; otherwise ``root`` is compiled afresh, so the result is always
+    the value of ``root``.  Deterministic; non-finite intermediates
+    (overflow in powers/exp) propagate into the result without masking.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise StructuralError("X must be 2-d (samples x features)")
+    if gene is None or gene.root is not root:
+        gene = Gene(root)
+    with np.errstate(all="ignore"):
+        return run_tape(gene, X)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +352,11 @@ def _eval(node: Node, X: np.ndarray) -> np.ndarray:
 
 def depth(root: Node) -> int:
     """Edge count of the longest root-to-leaf path; a lone leaf has depth 0."""
-    if isinstance(root, Func):
-        return 1 + max(depth(c) for c in root.children)
-    return 0
+    return compile_tree(root)[2]
 
 
 def node_count(root: Node) -> int:
-    if isinstance(root, Func):
-        return 1 + sum(node_count(c) for c in root.children)
-    return 1
-
-
-def has_lcf(root: Node) -> bool:
-    if isinstance(root, Lcf):
-        return True
-    if isinstance(root, Func):
-        return any(has_lcf(c) for c in root.children)
-    return False
+    return len(compile_tree(root)[1])
 
 
 def iter_nodes(root: Node) -> Iterator[Node]:
@@ -410,9 +476,6 @@ class TerminalConfig:
         return Lcf(index, LcfWeights.identity(index, self.dim))
 
 
-_KINDS = list(Fn)
-
-
 def random_tree(rng, max_depth: int, method: str, terminals: TerminalConfig) -> Node:
     """Generate a random tree of depth <= ``max_depth``.
 
@@ -461,31 +524,37 @@ def _random_node(rng, budget: int, method: str, terminals: TerminalConfig) -> No
 
 
 class Gene:
-    """One expression tree plus cached structural measures.
+    """One expression tree, compiled once to its tape, plus its structural
+    measures.
 
-    Genes also keep a small per-dataset output cache keyed by the dataset
-    token: trees without LCF leaves never change value, and LCF-bearing
-    trees are re-evaluated whenever the caller-supplied version key moves.
+    A gene also caches its output on the last dataset it was evaluated on,
+    keyed by the dataset token: trees without LCF leaves never change
+    value, and LCF-bearing trees are re-evaluated whenever the
+    caller-supplied version key moves.
     """
 
-    __slots__ = ("root", "depth", "node_count", "has_lcf", "_cache")
+    __slots__ = ("root", "program", "nodes", "depth", "node_count", "has_lcf", "_cached")
 
     def __init__(self, root: Node) -> None:
         self.root = root
-        self.depth = depth(root)
-        self.node_count = node_count(root)
-        self.has_lcf = has_lcf(root)
-        self._cache: dict = {}
+        self.program, self.nodes, self.depth = compile_tree(root)
+        self.node_count = len(self.nodes)
+        self.has_lcf = bool(self.program[-SLOT + 1])
+        self._cached = None  # (token, version key, output)
+
+    def lcf_leaves(self) -> list[Lcf]:
+        """LCF leaves in left-to-right (pre-order) order."""
+        return [n for n in self.nodes if isinstance(n, Lcf)] if self.has_lcf else []
 
     def output(self, X, token=None, version=None) -> np.ndarray:
         if token is None:
-            return eval_batch(self.root, X)
+            return eval_batch(self.root, X, self)
         key = version if self.has_lcf else None
-        hit = self._cache.get(token)
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        out = eval_batch(self.root, X)
-        self._cache[token] = (key, out)
+        hit = self._cached
+        if hit is not None and hit[0] == token and hit[1] == key:
+            return hit[2]
+        out = eval_batch(self.root, X, self)
+        self._cached = (token, key, out)
         return out
 
     def __repr__(self) -> str:

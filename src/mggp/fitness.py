@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError
-from .exprtree import Lcf, Var, iter_nodes
+from .exprtree import Lcf, Var
 
 
 @dataclass(frozen=True)
@@ -71,20 +71,33 @@ def r_squared(y, yhat) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def fit_and_score(columns, y) -> tuple[LinearModel | None, float | None]:
+    """Fit ``y ~ c0 + sum_k c_k * columns[k]`` by OLS and score it by R^2.
+
+    Returns ``(None, None)`` when any column entry, coefficient or the R^2
+    is non-finite.
+    """
+    y = np.asarray(y, dtype=float)
+    G = np.column_stack(columns)
+    if not np.isfinite(G).all():
+        return None, None
+    model = ols_fit(G, y)
+    if not (np.isfinite(model.c0) and np.isfinite(model.c).all()):
+        return None, None
+    r2 = r_squared(y, model.predict(G))
+    if not np.isfinite(r2):
+        return None, None
+    return model, r2
+
+
 def fit_linear(individual, data, epoch: int = 0) -> tuple[LinearModel | None, FitnessReport]:
     """Fit the top-level model of ``individual`` on ``data`` and score it.
 
     Returns ``(None, INVALID)`` when any gene output or coefficient is
     non-finite.  Pure: caches live on genes/datasets, never on the report.
     """
-    G = individual.gene_matrix(data, epoch)
-    if not np.isfinite(G).all():
-        return None, INVALID
-    model = ols_fit(G, data.y)
-    if not (np.isfinite(model.c0) and np.isfinite(model.c).all()):
-        return None, INVALID
-    r2 = r_squared(data.y, model.predict(G))
-    if not np.isfinite(r2):
+    model, r2 = fit_and_score(individual.gene_outputs(data, epoch), data.y)
+    if model is None:
         return None, INVALID
     return model, FitnessReport(train_r2=r2, valid=True)
 
@@ -99,7 +112,7 @@ def lcf_ratio(individual) -> float:
     n_lcf = 0
     n_var = 0
     for gene in individual.genes:
-        for node in iter_nodes(gene.root):
+        for node in gene.nodes:
             if isinstance(node, Lcf):
                 n_lcf += 1
             elif isinstance(node, Var):

@@ -1,10 +1,10 @@
-"""Rank-based comparison machinery: Mann-Whitney U test (exact enumeration
-for small samples, tie/continuity-corrected normal approximation otherwise),
-Bonferroni adjustment and per-configuration result summaries."""
+"""Rank-based comparison machinery: Mann-Whitney U test (exact null
+distribution for small samples, tie/continuity-corrected normal
+approximation otherwise), Bonferroni adjustment and per-configuration
+result summaries."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,22 +46,35 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 
 def _exact_p(ranks: np.ndarray, n: int, u_obs: float) -> float:
-    """Two-sided exact p by enumerating all assignments of n of the pooled
-    ranks to the first sample: the fraction of assignments whose U deviates
-    from the mean at least as much as the observed U."""
+    """Two-sided exact p over all assignments of n of the pooled ranks to
+    the first sample: the fraction of assignments whose U deviates from the
+    mean at least as much as the observed U.
+
+    Midranks are multiples of 0.5, so doubled ranks are integers and the
+    distribution of the doubled rank sum of n drawn ranks can be counted
+    exactly by dynamic programming (Mann & Whitney's recursion, with ties).
+    """
     total_n = len(ranks)
-    mean_u = n * (total_n - n) / 2.0
-    dev_obs = abs(u_obs - mean_u)
-    offset = n * (n + 1) / 2.0
-    count = 0
-    total = 0
-    for combo in itertools.combinations(range(total_n), n):
-        u = sum(ranks[i] for i in combo) - offset
-        # ranks are multiples of 0.5, so these floats compare exactly
-        if abs(u - mean_u) >= dev_obs:
-            count += 1
-        total += 1
-    return count / total
+    doubled = [int(round(2.0 * r)) for r in ranks]
+    # counts[k] packs one count per doubled rank sum s, in digit s of
+    # `width` bits: the number of k-subsets of the ranks seen so far with
+    # that sum.  No count exceeds C(N, N // 2), so digits never carry.
+    width = math.comb(total_n, total_n // 2).bit_length() + 1
+    counts = [1] + [0] * n
+    for seen, r in enumerate(doubled):
+        for k in range(min(seen + 1, n), 0, -1):
+            counts[k] += counts[k - 1] << (r * width)
+    # 2U = doubled rank sum - n(n+1); the mean of 2U is n*m
+    two_mean = n * (total_n - n)
+    two_dev_obs = abs(int(round(2.0 * u_obs)) - two_mean)
+    mask = (1 << width) - 1
+    dist, two_sum, count = counts[n], 0, 0
+    while dist:
+        if abs(two_sum - n * (n + 1) - two_mean) >= two_dev_obs:
+            count += dist & mask
+        dist >>= width
+        two_sum += 1
+    return count / math.comb(total_n, n)
 
 
 def _normal_p(ranks: np.ndarray, n: int, m: int, u_obs: float) -> float:
@@ -80,7 +93,7 @@ def _normal_p(ranks: np.ndarray, n: int, m: int, u_obs: float) -> float:
 def mann_whitney_u(a, b, alpha: float = 0.05, method: str = "auto") -> ComparisonResult:
     """Two-sided Mann-Whitney rank test of samples ``a`` vs ``b``.
 
-    Uses exact enumeration when the pooled size is below 20 and the
+    Uses the exact null distribution when the pooled size is below 20 and the
     corrected normal approximation otherwise (``method`` can force either).
     The reported U statistic belongs to ``a``; the verdict compares medians
     once ``p <= alpha``.

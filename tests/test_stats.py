@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from mggp.stats import (
+    _exact_p,
+    _midranks,
     ComparisonResult,
     bonferroni,
     compare_vs_baseline,
@@ -79,6 +82,27 @@ class TestMannWhitney:
                 a, b, alternative="two-sided", method="asymptotic"
             ).pvalue
             assert ours == pytest.approx(min(1.0, ref), abs=1e-9)
+
+    def test_exact_p_matches_brute_force_enumeration_with_ties(self):
+        def enumerated_p(ranks, n, u_obs):
+            # reference: every assignment of n pooled ranks to the first sample
+            mean_u = n * (len(ranks) - n) / 2.0
+            hits = total = 0
+            for combo in itertools.combinations(range(len(ranks)), n):
+                u = sum(ranks[i] for i in combo) - n * (n + 1) / 2.0
+                hits += abs(u - mean_u) >= abs(u_obs - mean_u)
+                total += 1
+            return hits / total
+
+        rng = np.random.default_rng(20)
+        for _ in range(150):
+            pooled = int(rng.integers(2, 15))
+            n = int(rng.integers(1, pooled))
+            # few distinct values, so most samples carry ties
+            values = rng.integers(0, int(rng.integers(1, 6)), size=pooled).astype(float)
+            ranks = _midranks(values)
+            u_obs = float(ranks[:n].sum()) - n * (n + 1) / 2.0
+            assert _exact_p(ranks, n, u_obs) == enumerated_p(ranks, n, u_obs)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
