@@ -39,7 +39,7 @@ def training_r2(ind):
 
 print(f"start:  R2 = {training_r2(individual):.4f}   weights a={weights.a:+.3f} b={weights.b}")
 for round_no in range(1, 9):
-    tune(individual, train, StepBudget(), mode="U")
+    tune(individual, train, StepBudget())
     print(
         f"round {round_no}: R2 = {training_r2(individual):.6f}   "
         f"a={weights.a:+.3f} b={np.round(weights.b, 3)}"

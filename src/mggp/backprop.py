@@ -117,14 +117,6 @@ def forward_trace(individual, X, token=None) -> EvalTrace:
     return trace
 
 
-def _refresh_lcf_genes(trace: EvalTrace) -> None:
-    """Recompute the LCF-dependent trace slots after a weight change."""
-    with np.errstate(all="ignore"):
-        for gene, values in trace.slots.items():
-            if gene.has_lcf:
-                run_tape(gene, trace.X, values)
-
-
 # ---------------------------------------------------------------------------
 # derivative table
 #
@@ -291,49 +283,73 @@ def irprop_minus_step(grads: GradientTable, params: RpropParams = RpropParams())
         w.prev_grad = g
 
 
-def _snapshot_weights(individual) -> dict[LcfWeights, tuple[float, np.ndarray]]:
-    return {w: w.values() for w in individual.weight_sets()}
+def _descend(population, weight_sets, train, steps: int, moved, on_fit=None) -> bool:
+    """Up to ``steps`` iRprop- updates of ``weight_sets`` on the loss summed
+    over ``population``, the one tuning loop of every mode.
+
+    Each step traces and refits every individual with LCF leaves, passing
+    each finite R^2 to ``on_fit`` (it scores the weights before the update),
+    and sums the partials of those whose fit and gradient are finite in
+    population order.  No valid partial, or a non-finite sum, stops the
+    descent; otherwise one update is made and ``moved()`` is called.
+    Returns True when every step updated, leaving the last weights unscored.
+    """
+    X, y = train.X, train.y
+    for _ in range(steps):
+        total = GradientTable(weight_sets)
+        any_valid = False
+        for individual in population:
+            if not individual.has_lcf():
+                continue
+            trace = forward_trace(individual, X, train.token)
+            model, r2 = fit_and_score(trace.roots(individual), y)
+            if model is None:
+                continue
+            if on_fit is not None:
+                on_fit(r2)
+            grads = backward(individual, trace, y, model)
+            if not grads.valid:
+                continue
+            for w, (d_a, d_b) in grads.entries.items():
+                entry = total.entries[w]
+                entry[0] += d_a
+                entry[1] += d_b
+            any_valid = True
+        if not any_valid or not total.check_finite():
+            return False
+        irprop_minus_step(total)
+        moved()
+    return True
 
 
-def _restore_weights(snapshot) -> None:
-    for w, (a, b) in snapshot.items():
-        w.set_values(a, b)
-
-
-def tune(individual, train, budget: StepBudget = StepBudget(), mode: str = "U",
-         params: RpropParams = RpropParams()):
+def tune(individual, train, budget: StepBudget = StepBudget()):
     """Gradient-tune the LCF weights of one individual on the training set.
 
-    Runs ``budget.steps_for(total nodes)`` iterations of {refit top-level
-    OLS, forward trace, backward, iRprop- step}.  The individual is returned
-    carrying the best-training-R^2 weights observed (never worse than the
-    weights it arrived with); a non-finite loss or gradient stops tuning
-    early.  No-op for individuals without LCF leaves.
+    Runs up to ``budget.steps_for(total nodes)`` iterations of {forward
+    trace, refit top-level OLS, backward, iRprop- step} over the
+    individual's own weight sets.  The individual is returned carrying the
+    best-training-R^2 weights observed (never worse than the weights it
+    arrived with); a non-finite loss or gradient stops tuning early.  No-op
+    for individuals without LCF leaves.
     """
-    if mode not in ("U", "S"):
-        raise ValueError("tune applies to the U and S modes only")
     if not individual.has_lcf():
         return individual
-    X, y = train.X, train.y
+    sets = individual.weight_sets()
+    best_r2, best = -np.inf, {}  # every update follows a scored fit, which sets ``best``
+
+    def keep_best(r2: float) -> None:
+        nonlocal best_r2, best
+        if r2 > best_r2:
+            best_r2, best = r2, {w: w.values() for w in sets}
+
     n_steps = budget.steps_for(individual.total_nodes())
-    trace = forward_trace(individual, X, train.token)
-    model, r2 = fit_and_score(trace.roots(individual), y)
-    best_r2 = -np.inf if r2 is None else r2
-    best = _snapshot_weights(individual)
-    for _ in range(n_steps):
-        if model is None:
-            break
-        grads = backward(individual, trace, y, model)
-        if not grads.valid:
-            break
-        irprop_minus_step(grads, params)
-        individual.bump_weights_version()
-        _refresh_lcf_genes(trace)
-        model, r2 = fit_and_score(trace.roots(individual), y)
-        if r2 is not None and r2 > best_r2:
-            best_r2 = r2
-            best = _snapshot_weights(individual)
-    _restore_weights(best)
+    if _descend([individual], sets, train, n_steps, individual.bump_weights_version, keep_best):
+        trace = forward_trace(individual, train.X, train.token)
+        _, r2 = fit_and_score(trace.roots(individual), train.y)
+        if r2 is not None:
+            keep_best(r2)
+    for w, (a, b) in best.items():
+        w.set_values(a, b)
     individual.bump_weights_version()
     return individual
 
@@ -355,38 +371,9 @@ class GlobalWeightTable:
         self.epoch += 1
 
 
-def global_tune(population, table: GlobalWeightTable, train, steps: int = 2,
-                params: RpropParams = RpropParams()) -> None:
-    """Shared-table tuning for the globally synchronised mode.
-
-    Per step, loss partials are computed per individual (with that
-    individual's freshly fit coefficients held fixed) and summed over the
-    whole population per index group; one shared iRprop- state, stored on
-    the table's weight sets, drives the update.  Individuals with a
-    non-finite loss or gradient are skipped; a step with no valid
-    contribution stops tuning for this call.
-    """
-    X, y = train.X, train.y
-    sets = list(table.weights.values())
-    for _ in range(steps):
-        total = GradientTable(sets)
-        any_valid = False
-        for individual in population:  # fixed ascending order for determinism
-            if not individual.has_lcf():
-                continue
-            trace = forward_trace(individual, X, train.token)
-            model, _ = fit_and_score(trace.roots(individual), y)
-            if model is None:
-                continue
-            grads = backward(individual, trace, y, model)
-            if not grads.check_finite():
-                continue
-            for w, (d_a, d_b) in grads.entries.items():
-                entry = total.entries[w]
-                entry[0] += d_a
-                entry[1] += d_b
-            any_valid = True
-        if not any_valid or not total.check_finite():
-            break
-        irprop_minus_step(total, params)
-        table.bump()
+def global_tune(population, table: GlobalWeightTable, train, steps: int = 2) -> None:
+    """Shared-table tuning for the globally synchronised mode: each step sums
+    the loss partials of every individual (its own freshly fit coefficients
+    held fixed) per index group and makes one iRprop- update of the table's
+    weight sets, whose step-size state the whole population shares."""
+    _descend(population, list(table.weights.values()), train, steps, table.bump)

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,13 @@ def _best_coeffs(result) -> list:
 
 
 def load_records(where) -> list[RunRecord]:
+    """Parse a records file (or the ``records.jsonl`` in a directory).
+
+    A last line without its newline that does not parse is what an
+    interrupted run leaves behind: it is skipped with a warning.  Any other
+    line that is not a record is a :class:`DataError` naming the file, the
+    line and the cause.
+    """
     path = Path(where)
     if path.is_dir():
         path = path / RECORDS_NAME
@@ -230,16 +238,32 @@ def load_records(where) -> list[RunRecord]:
         raise DataError(f"no records at {path}")
     records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for number, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
                 records.append(RunRecord.from_json(line))
+            except json.JSONDecodeError as exc:
+                cause = f"{exc.msg} at column {exc.colno}"
+                if raw.endswith("\n"):
+                    raise DataError(f"{path}, line {number}: not JSON: {cause}") from exc
+                print(f"mggp: warning: {path}, line {number}: skipping a truncated last "
+                      f"line ({cause})", file=sys.stderr)
+            except TypeError as exc:
+                raise DataError(f"{path}, line {number}: not a run record: {exc}") from exc
     if not records:
         raise DataError(f"{path} holds no records")
     return records
 
 
 def _group(records: list[RunRecord]) -> dict[str, list[RunRecord]]:
+    """Records by codename; a run recorded twice would count twice in the
+    rank tests, so repeated (codename, dataset, seed) triples are refused."""
+    runs = Counter((rec.codename, rec.dataset, rec.seed) for rec in records)
+    repeated = [f"{c} {d} seed {s} ({n} times)" for (c, d, s), n in runs.items() if n > 1]
+    if repeated:
+        raise DataError("runs recorded more than once: " + ", ".join(repeated))
     groups: dict[str, list[RunRecord]] = {}
     for rec in records:
         groups.setdefault(rec.codename, []).append(rec)

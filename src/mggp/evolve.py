@@ -29,7 +29,6 @@ import numpy as np
 from . import fitness as _fitness
 from .backprop import (
     GlobalWeightTable,
-    RpropParams,
     StepBudget,
     global_tune,
     tune,
@@ -229,18 +228,13 @@ class Engine:
     determined by the generator's seed.
     """
 
-    def __init__(self, cfg: EngineConfig, mode: ModeConfig, train, rng,
-                 rprop: RpropParams = RpropParams(),
-                 global_table: GlobalWeightTable | None = None) -> None:
+    def __init__(self, cfg: EngineConfig, mode: ModeConfig, train, rng) -> None:
         self.cfg = cfg
         self.mode = mode
         self.train = train
         self.rng = rng
-        self.rprop = rprop
         self.budget = StepBudget(cfg.bp_steps, cfg.bp_min)
-        self.table = None
-        if mode.mode == "G":
-            self.table = global_table or GlobalWeightTable(train.dim)
+        self.table = GlobalWeightTable(train.dim) if mode.mode == "G" else None
         self.evaluations = 0
         lcf_factory = self.table.lookup if self.table is not None else None
         self.terminals = TerminalConfig(
@@ -565,10 +559,10 @@ class Engine:
             offspring.extend(batch)
         if self.mode.uses_backprop and self.mode.mode in ("U", "S"):
             for child in offspring:
-                tune(child, self.train, self.budget, self.mode.mode, self.rprop)
+                tune(child, self.train, self.budget)
         new_pop = list(elites) + offspring
         if self.mode.mode == "G":
-            global_tune(new_pop, self.table, self.train, cfg.global_steps, self.rprop)
+            global_tune(new_pop, self.table, self.train, cfg.global_steps)
         for ind in new_pop:
             self.evaluate(ind)
         return new_pop
@@ -616,7 +610,7 @@ class RunResult:
 
 
 def run(cfg: EngineConfig, mode: ModeConfig, train, test, budget: RunBudget,
-        seed: int, rprop: RpropParams = RpropParams()) -> RunResult:
+        seed: int) -> RunResult:
     """Execute one seeded run and evaluate the best individual on the test
     set once at the end.  Fully deterministic under a generation budget."""
     if train.dim != test.dim:
@@ -624,7 +618,7 @@ def run(cfg: EngineConfig, mode: ModeConfig, train, test, budget: RunBudget,
     if np.all(train.y == train.y[0]):
         raise DegenerateDataError("training target is constant; refusing to start")
     rng = np.random.default_rng(seed)
-    engine = Engine(cfg, mode, train, rng, rprop)
+    engine = Engine(cfg, mode, train, rng)
     started = time.perf_counter()
     pop = engine.init_population()
     for ind in pop:

@@ -304,22 +304,16 @@ def _leaf_value(op: int, node: Node, X: np.ndarray) -> np.ndarray:
     return w.a + X @ w.b
 
 
-def run_tape(gene: "Gene", X: np.ndarray, values: list | None = None) -> list[np.ndarray]:
+def run_tape(gene: "Gene", X: np.ndarray) -> list[np.ndarray]:
     """Evaluate every slot of ``gene``'s tape on the rows of ``X``.
 
-    Returns the per-slot output vectors, root last.  Given the ``values`` of
-    an earlier run on the same ``X``, recomputes only the slots whose
-    subtree holds an LCF leaf, in place, and returns them.  Non-finite
-    values propagate; callers run this under ``np.errstate(all="ignore")``.
+    Returns the per-slot output vectors, root last.  Non-finite values
+    propagate; callers run this under ``np.errstate(all="ignore")``.
     """
     nodes = gene.nodes
-    refresh = values is not None
-    if not refresh:
-        values = [None] * len(nodes)
+    values = [None] * len(nodes)
     code = iter(gene.program)
-    for slot, (op, flag, a, b) in enumerate(zip(code, code, code, code)):
-        if refresh and not flag:
-            continue
+    for slot, (op, _, a, b) in enumerate(zip(code, code, code, code)):
         if op < N_BINARY:
             values[slot] = _FORWARD_BY_OP[op](values[a], values[b])
         elif op < OP_CONST:

@@ -282,7 +282,7 @@ class TestTune:
                 pred = model.predict(G)
                 if np.isfinite(pred).all():
                     before = r_squared(train.y, pred)
-            tune(ind, train, StepBudget(), "U")
+            tune(ind, train, StepBudget())
             G = np.column_stack([eval_batch(g.root, train.X) for g in ind.genes])
             if not np.isfinite(G).all():
                 after = -np.inf
@@ -299,17 +299,10 @@ class TestTune:
         w = LcfWeights.identity(1, 2)
         ind = Individual([Gene(Func(Fn.TANH, (Lcf(1, w),)))], 2)
         for _ in range(20):  # several generations' worth of budget
-            tune(ind, train, StepBudget(), "U")
+            tune(ind, train, StepBudget())
         G = np.column_stack([eval_batch(g.root, train.X) for g in ind.genes])
         model = ols_fit(G, train.y)
         assert r_squared(train.y, model.predict(G)) > 0.99
-
-    def test_rejects_other_modes(self):
-        rng = np.random.default_rng(7)
-        train = toy_train(rng)
-        ind = random_tunable_individual(rng, 2)
-        with pytest.raises(ValueError):
-            tune(ind, train, StepBudget(), "G")
 
 
 class TestGlobalTune:
@@ -335,7 +328,7 @@ class TestGlobalTune:
         train = toy_train(rng)
         s_ind, w, g_ind, table = self.build_pair()
         steps = StepBudget(steps=s_ind.total_nodes() + 6, floor=2)
-        tune(s_ind, train, steps, "S")
+        tune(s_ind, train, steps)
         global_tune([g_ind], table, train, steps=steps.steps_for(s_ind.total_nodes()))
         gw = table.lookup(1)
         assert w.a == gw.a

@@ -158,6 +158,52 @@ class TestReport:
         (tmp_path / "records.jsonl").write_text("")
         assert main(["report", str(tmp_path)]) == 2
 
+    def test_truncated_last_line_is_skipped_with_a_warning(self, tmp_path, capsys):
+        path = run_small(tmp_path, runs=2)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + lines[1][:40])  # an interrupted append
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "line 2: skipping a truncated last line" in captured.err
+        assert captured.out.splitlines()[1].split()[1] == "1"  # runs
+        assert [r.seed for r in load_records(path)] == [7]
+
+    @pytest.mark.parametrize("bad, cause", [
+        ("{\"codename\": ", "not JSON: Expecting value at column 13"),  # cut, not last
+        ("[1, 2]", "not a run record"),
+        ("{\"codename\": \"UB\"}", "not a run record"),
+    ])
+    @pytest.mark.parametrize("command", [["report"], ["compare", "--config-a", "baseline",
+                                                      "--config-b", "baseline"]])
+    def test_corrupt_line_is_a_data_error_naming_file_and_line(self, tmp_path, capsys,
+                                                               bad, cause, command):
+        path = run_small(tmp_path, runs=2)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + bad + "\n" + lines[1])
+        capsys.readouterr()
+        assert main([command[0], str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 2: {cause}" in err
+        if "UB" in bad:
+            assert "missing 12 required" in err
+
+    def test_unterminated_last_line_that_parses_must_still_be_a_record(self, tmp_path, capsys):
+        path = run_small(tmp_path)
+        path.write_text(path.read_text() + "{}")
+        assert main(["report", str(path)]) == 2
+        assert "line 2: not a run record" in capsys.readouterr().err
+
+    def test_repeated_runs_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "records"
+        run_small(tmp_path, runs=2, out=out)
+        run_small(tmp_path, runs=2, out=out)  # the same experiment, appended again
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "baseline s2d seed 7 (2 times)" in err and "baseline s2d seed 8 (2 times)" in err
+        assert main(["compare", str(out), "--config-a", "baseline", "--config-b", "baseline"]) == 2
+
     def test_report_does_not_mutate_records(self, tmp_path):
         path = run_small(tmp_path)
         before = path.read_bytes()

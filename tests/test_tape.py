@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from mggp.backprop import _refresh_lcf_genes, backward, forward_trace
+from mggp.backprop import backward, forward_trace
 from mggp.evolve import Individual
 from mggp.exprtree import (
     Const,
@@ -201,23 +201,6 @@ def test_eval_batch_and_trace_roots_match_recursive_evaluator(logsig_orientation
             assert np.array_equal(root, expected, equal_nan=True)
             for node in iter_nodes(gene.root):
                 assert np.array_equal(trace.value(node), values[node], equal_nan=True)
-
-
-def test_refresh_matches_a_fresh_trace_after_weight_changes():
-    genes, rng = fuzzed_genes(2, 120)
-    X = rng.uniform(-2.0, 2.0, size=(16, 3))
-    for start in range(0, len(genes), 3):
-        ind = Individual(genes[start : start + 3], 3)
-        trace = forward_trace(ind, X)
-        for w in ind.weight_sets():
-            w.set_values(w.a + rng.normal(0, 0.1), w.b + rng.normal(0, 0.1, size=w.dim))
-        _refresh_lcf_genes(trace)
-        fresh = forward_trace(ind, X)
-        for gene in ind.genes:
-            for old, new in zip(trace.slots[gene], fresh.slots[gene]):
-                assert (old is None) == (new is None)
-                if old is not None:
-                    assert np.array_equal(old, new, equal_nan=True)
 
 
 def test_eval_batch_uses_a_gene_tape_only_for_that_gene_root():
