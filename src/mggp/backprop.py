@@ -29,8 +29,6 @@ from .exprtree import (
     Fn,
     Lcf,
     LcfWeights,
-    Node,
-    logsig_is_increasing,
     run_tape,
 )
 from .fitness import fit_and_score
@@ -79,30 +77,14 @@ class EvalTrace:
         """Root output vectors of the individual's genes, in gene order."""
         return [self.slots[gene][-1] for gene in individual.genes]
 
-    def value(self, node: Node) -> np.ndarray:
-        """The output vector of one node of a traced gene.
 
-        Inner slots of a gene without LCF leaves are not recorded; they are
-        recomputed from the gene's tape on request.
-        """
-        for gene, values in self.slots.items():
-            for slot, candidate in enumerate(gene.nodes):
-                if candidate is node:
-                    if values[slot] is None:
-                        with np.errstate(all="ignore"):
-                            values = run_tape(gene, self.X)
-                    return values[slot]
-        raise KeyError(node)
-
-
-def forward_trace(individual, X, token=None) -> EvalTrace:
+def forward_trace(individual, X) -> EvalTrace:
     """Evaluate all genes, recording per-slot outputs.
 
     Root values are identical to :func:`mggp.exprtree.eval_batch` on the
     same trees.  A gene without LCF leaves records only its root, read
-    through :meth:`Gene.output` (cached when ``token``, the dataset token of
-    ``X``, is given): its value never changes and the backward pass never
-    enters it.
+    through the cache of :meth:`Gene.output`: its value never changes and
+    the backward pass never enters it.
     """
     X = np.asarray(X, dtype=float)
     trace = EvalTrace(X)
@@ -113,7 +95,7 @@ def forward_trace(individual, X, token=None) -> EvalTrace:
             if gene.has_lcf:
                 trace.slots[gene] = run_tape(gene, X)
             else:
-                trace.slots[gene] = [None] * (gene.node_count - 1) + [gene.output(X, token)]
+                trace.slots[gene] = [None] * (gene.node_count - 1) + [gene.output(X)]
     return trace
 
 
@@ -123,13 +105,13 @@ def forward_trace(individual, X, token=None) -> EvalTrace:
 # One function per operator, indexed by opcode like the forward table:
 # ``(x, y, out, i)`` gives d(out)/d(child i) from the child values ``x``
 # and ``y`` (``None`` for unary operators) and the operator's own output.
-# The exp, tanh, gauss and increasing-logsig derivatives reuse ``out``,
-# which equals the transcendental they would otherwise recompute.
+# The exp, tanh and gauss derivatives reuse ``out``, which equals the
+# transcendental they would otherwise recompute.
 
 
 def _d_logsig(x, y, out, i):
-    if logsig_is_increasing():
-        return out * (1.0 - out)
+    # d/dx 1/(1+e^x) = -s(1-s) with s = expit(x); written from ``out``
+    # = 1 - s it would round differently
     s = expit(x)
     return -(s * (1.0 - s))
 
@@ -154,7 +136,7 @@ DERIVATIVE = {
     **{kind: (lambda x, y, out, i, k=k: k * x ** (k - 1)) for kind, k in POWER_EXPONENT.items()},
 }
 _DERIVATIVE_BY_OP = tuple(DERIVATIVE[kind] for kind in Fn)
-_USES_OUTPUT = frozenset((Fn.EXP, Fn.LOGSIG, Fn.TANH, Fn.GAUSS))
+_USES_OUTPUT = frozenset((Fn.EXP, Fn.TANH, Fn.GAUSS))
 
 
 def local_derivative(kind: Fn, child_values, child_index: int = 0) -> np.ndarray:
@@ -301,7 +283,7 @@ def _descend(population, weight_sets, train, steps: int, moved, on_fit=None) -> 
         for individual in population:
             if not individual.has_lcf():
                 continue
-            trace = forward_trace(individual, X, train.token)
+            trace = forward_trace(individual, X)
             model, r2 = fit_and_score(trace.roots(individual), y)
             if model is None:
                 continue
@@ -310,10 +292,11 @@ def _descend(population, weight_sets, train, steps: int, moved, on_fit=None) -> 
             grads = backward(individual, trace, y, model)
             if not grads.valid:
                 continue
-            for w, (d_a, d_b) in grads.entries.items():
-                entry = total.entries[w]
-                entry[0] += d_a
-                entry[1] += d_b
+            with np.errstate(over="ignore"):  # an overflow to inf stops the descent below
+                for w, (d_a, d_b) in grads.entries.items():
+                    entry = total.entries[w]
+                    entry[0] += d_a
+                    entry[1] += d_b
             any_valid = True
         if not any_valid or not total.check_finite():
             return False
@@ -343,14 +326,14 @@ def tune(individual, train, budget: StepBudget = StepBudget()):
             best_r2, best = r2, {w: w.values() for w in sets}
 
     n_steps = budget.steps_for(individual.total_nodes())
-    if _descend([individual], sets, train, n_steps, individual.bump_weights_version, keep_best):
-        trace = forward_trace(individual, train.X, train.token)
+    if _descend([individual], sets, train, n_steps, individual.weights_changed, keep_best):
+        trace = forward_trace(individual, train.X)
         _, r2 = fit_and_score(trace.roots(individual), train.y)
         if r2 is not None:
             keep_best(r2)
     for w, (a, b) in best.items():
         w.set_values(a, b)
-    individual.bump_weights_version()
+    individual.weights_changed()
     return individual
 
 

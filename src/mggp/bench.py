@@ -9,15 +9,12 @@ format so toy and real data flow through one path.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DegenerateDataError
-
-_TOKENS = itertools.count(1)
 
 
 @dataclass
@@ -28,7 +25,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     role: str = "train"
-    token: int = field(default_factory=lambda: next(_TOKENS), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=float)
@@ -145,13 +141,11 @@ def generate(name: str, rng) -> tuple[Dataset, Dataset]:
     return GENERATORS[key](rng)
 
 
-def split(data: Dataset, ratio: float = 0.7, rng=None) -> tuple[Dataset, Dataset]:
+def split(data: Dataset, ratio: float, rng) -> tuple[Dataset, Dataset]:
     """Random partition into train/test; first ``ceil(ratio * n)`` rows of a
-    uniform permutation become the training set."""
+    uniform permutation drawn from ``rng`` become the training set."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be strictly between 0 and 1")
-    if rng is None:
-        rng = np.random.default_rng()
     n = data.n
     n_train = math.ceil(ratio * n)
     if n_train == 0 or n_train == n:

@@ -155,16 +155,20 @@ class EngineConfig:
 
 
 class Individual:
-    """A set of gene trees plus cached top-level model and fitness."""
+    """A set of gene trees plus cached top-level model and fitness.
 
-    __slots__ = ("genes", "dim", "model", "fitness", "_wver", "_fit_key", "_rank")
+    The fit is cached under the G-mode table epoch it was made at; an
+    in-place change of the individual's weights must be announced with
+    :meth:`weights_changed`.
+    """
+
+    __slots__ = ("genes", "dim", "model", "fitness", "_fit_key", "_rank")
 
     def __init__(self, genes, dim: int) -> None:
         self.genes: list[Gene] = list(genes)
         self.dim = dim
         self.model = None
         self.fitness = None
-        self._wver = 0
         self._fit_key = None
         self._rank = None  # (fitness report, ordering key derived from it)
 
@@ -183,11 +187,18 @@ class Individual:
         return list(dict.fromkeys(node.weights for node in self.lcf_nodes()))
 
     def gene_outputs(self, data, epoch: int = 0) -> list[np.ndarray]:
-        version = (self._wver, epoch)
-        return [g.output(data.X, data.token, version) for g in self.genes]
+        return [g.output(data.X, epoch) for g in self.genes]
 
-    def bump_weights_version(self) -> None:
-        self._wver += 1
+    def weights_changed(self) -> None:
+        """Drop the cached outputs of the LCF genes and the cached fit.
+
+        In U and S mode every clone copies its LCF genes, so they belong to
+        this individual alone; in G mode the weights change only together
+        with the table epoch, which the caches key on anyway.
+        """
+        for gene in self.genes:
+            if gene.has_lcf:
+                gene.forget()
         self._fit_key = None
 
     def reset_tuning_state(self) -> None:
@@ -252,13 +263,13 @@ class Engine:
         return self.table.epoch if self.table is not None else 0
 
     def evaluate(self, ind: Individual):
-        key = (self.train.token, ind._wver, self.epoch)
-        if ind._fit_key == key:
+        epoch = self.epoch
+        if ind._fit_key == epoch:
             return ind.fitness
-        model, report = _fitness.fit_linear(ind, self.train, self.epoch)
+        model, report = _fitness.fit_linear(ind, self.train, epoch)
         ind.model = model
         ind.fitness = report
-        ind._fit_key = key
+        ind._fit_key = epoch
         self.evaluations += 1
         return report
 
@@ -436,7 +447,7 @@ class Engine:
             w.b += offset[1:]
         if self.mode.mode == "G":
             self.table.bump()
-        o.bump_weights_version()
+        o.weights_changed()
         return o
 
     # -- synchronised-mode repair ---------------------------------------
@@ -491,7 +502,7 @@ class Engine:
         for node in ind.lcf_nodes():
             if node.index == index:
                 node.weights = shared
-        ind.bump_weights_version()
+        ind.weights_changed()
 
     # -- population level ------------------------------------------------
 

@@ -60,20 +60,11 @@ class Fn(enum.Enum):
 _BINARY = frozenset((Fn.ADD, Fn.SUB, Fn.MUL))
 POWER_EXPONENT = {Fn.POW2: 2, Fn.POW3: 3, Fn.POW4: 4, Fn.POW5: 5, Fn.POW6: 6}
 
-# logsig defaults to the decreasing logistic 1/(1+e^x).  The conventional
-# increasing form 1/(1+e^-x) can be selected globally; derivatives in the
-# gradient module follow whichever convention is active.
-_LOGSIG_INCREASING = False
-
-
-def set_logsig_increasing(flag: bool) -> None:
-    """Select the orientation of the ``logsig`` operator for all trees."""
-    global _LOGSIG_INCREASING
-    _LOGSIG_INCREASING = bool(flag)
-
 
 def logsig_is_increasing() -> bool:
-    return _LOGSIG_INCREASING
+    """Orientation of the ``logsig`` operator, and so of its text form: it is
+    the decreasing logistic ``1/(1+e^x)`` in every tree."""
+    return False
 
 
 class LcfWeights:
@@ -129,9 +120,6 @@ class LcfWeights:
         expected = np.zeros(self.dim)
         expected[index - 1] = 1.0
         return np.array_equal(self.b, expected)
-
-    def is_finite(self) -> bool:
-        return np.isfinite(self.a) and bool(np.isfinite(self.b).all())
 
     def reset_tuning_state(self) -> None:
         self.delta = None
@@ -221,7 +209,7 @@ FORWARD = {
     Fn.SIN: np.sin,
     Fn.COS: np.cos,
     Fn.EXP: np.exp,
-    Fn.LOGSIG: lambda x: expit(x) if _LOGSIG_INCREASING else expit(-x),
+    Fn.LOGSIG: lambda x: expit(-x),  # the decreasing logistic 1/(1+e^x)
     Fn.TANH: np.tanh,
     # sin(x)/x with the limit value 1 at x = 0
     Fn.SINC: lambda x: np.where(x == 0.0, 1.0, np.sin(x) / x),
@@ -521,10 +509,11 @@ class Gene:
     """One expression tree, compiled once to its tape, plus its structural
     measures.
 
-    A gene also caches its output on the last dataset it was evaluated on,
-    keyed by the dataset token: trees without LCF leaves never change
-    value, and LCF-bearing trees are re-evaluated whenever the
-    caller-supplied version key moves.
+    A gene also caches its output on the last input array it was evaluated
+    on.  A tree without LCF leaves never changes value, so its output hits
+    whenever the same array object comes back.  A tree with LCF leaves also
+    keys on the G-mode table epoch; an in-place change of its private
+    weights must be followed by :meth:`forget`.
     """
 
     __slots__ = ("root", "program", "nodes", "depth", "node_count", "has_lcf", "_cached")
@@ -534,22 +523,27 @@ class Gene:
         self.program, self.nodes, self.depth = compile_tree(root)
         self.node_count = len(self.nodes)
         self.has_lcf = bool(self.program[-SLOT + 1])
-        self._cached = None  # (token, version key, output)
+        self._cached = None  # (input array, key, output)
 
     def lcf_leaves(self) -> list[Lcf]:
         """LCF leaves in left-to-right (pre-order) order."""
         return [n for n in self.nodes if isinstance(n, Lcf)] if self.has_lcf else []
 
-    def output(self, X, token=None, version=None) -> np.ndarray:
-        if token is None:
-            return eval_batch(self.root, X, self)
-        key = version if self.has_lcf else None
+    def output(self, X, epoch: int = 0) -> np.ndarray:
+        """The gene's value on the rows of ``X``, from the cache when ``X`` is
+        the cached array itself and, for a gene with LCF leaves, ``epoch``
+        is the cached epoch."""
+        key = epoch if self.has_lcf else None
         hit = self._cached
-        if hit is not None and hit[0] == token and hit[1] == key:
+        if hit is not None and hit[0] is X and hit[1] == key:
             return hit[2]
         out = eval_batch(self.root, X, self)
-        self._cached = (token, key, out)
+        self._cached = (X, key, out)
         return out
+
+    def forget(self) -> None:
+        """Drop the cached output."""
+        self._cached = None
 
     def __repr__(self) -> str:
         return f"Gene({format_tree(self.root)})"

@@ -94,7 +94,7 @@ def fit_linear(individual, data, epoch: int = 0) -> tuple[LinearModel | None, Fi
     """Fit the top-level model of ``individual`` on ``data`` and score it.
 
     Returns ``(None, INVALID)`` when any gene output or coefficient is
-    non-finite.  Pure: caches live on genes/datasets, never on the report.
+    non-finite.  Pure: caches live on genes, never on the report.
     """
     model, r2 = fit_and_score(individual.gene_outputs(data, epoch), data.y)
     if model is None:

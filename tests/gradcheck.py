@@ -57,14 +57,13 @@ def fd_verifiable_cases(rng, count, d_max=3, n=16):
         G = np.column_stack([eval_batch(g.root, X) for g in ind.genes])
         if not np.isfinite(G).all():
             continue
-        trace = forward_trace(ind, X)
         ok = True
         for gene in ind.genes:
             for node in iter_nodes(gene.root):
-                if np.max(np.abs(trace.value(node))) > 1e3:
+                if np.max(np.abs(eval_batch(node, X))) > 1e3:
                     ok = False
                 if isinstance(node, Func) and node.kind is Fn.SINC:
-                    if np.any(np.abs(trace.value(node.children[0])) < 1e-3):
+                    if np.any(np.abs(eval_batch(node.children[0], X)) < 1e-3):
                         ok = False
         if not ok:
             continue
@@ -77,7 +76,7 @@ def fd_verifiable_cases(rng, count, d_max=3, n=16):
             continue
         if not np.isfinite(sse(ind, X, y, model)):
             continue
-        table = backward(ind, trace, y, model)
+        table = backward(ind, forward_trace(ind, X), y, model)
         if not table.valid:
             continue
         produced += 1

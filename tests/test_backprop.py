@@ -46,9 +46,9 @@ def sse(ind, X, y, model):
 class TestForwardTrace:
     def test_single_lcf_leaf_value(self):
         leaf = Lcf(1, LcfWeights(0.0, [1.0, 0.0]))
-        ind = Individual([Gene(leaf)], 2)
-        trace = forward_trace(ind, np.array([[4.0, 9.0]]))
-        assert trace.value(leaf)[0] == 4.0
+        gene = Gene(leaf)
+        trace = forward_trace(Individual([gene], 2), np.array([[4.0, 9.0]]))
+        assert trace.slots[gene][-1][0] == 4.0
 
     def test_root_matches_eval_batch(self):
         rng = np.random.default_rng(0)
@@ -59,15 +59,18 @@ class TestForwardTrace:
             ind = Individual(genes, 2)
             trace = forward_trace(ind, X)
             for gene in genes:
-                assert np.array_equal(trace.value(gene.root), eval_batch(gene.root, X))
+                assert np.array_equal(trace.slots[gene][-1], eval_batch(gene.root, X))
 
     def test_sin_of_var_at_half_pi(self):
         leaf = Var(1)
         root = Func(Fn.SIN, (leaf,))
-        ind = Individual([Gene(root)], 1)
-        trace = forward_trace(ind, np.array([[math.pi / 2]]))
-        assert trace.value(leaf)[0] == pytest.approx(1.5708, abs=1e-4)
-        assert trace.value(root)[0] == pytest.approx(1.0)
+        gene = Gene(root)
+        X = np.array([[math.pi / 2]])
+        trace = forward_trace(Individual([gene], 1), X)
+        assert eval_batch(leaf, X)[0] == pytest.approx(1.5708, abs=1e-4)
+        # without LCF leaves only the root is recorded
+        assert trace.slots[gene][0] is None
+        assert trace.slots[gene][-1][0] == pytest.approx(1.0)
 
 
 class TestLocalDerivative:

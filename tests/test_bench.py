@@ -205,6 +205,11 @@ class TestSplit:
         with pytest.raises(DataError):
             split(self.make(2), 0.9, np.random.default_rng(3))
 
+    def test_generator_is_required(self):
+        # every split is seeded by its caller
+        with pytest.raises(TypeError):
+            split(self.make(10), 0.7)
+
     def test_bad_ratio(self):
         with pytest.raises(ValueError):
             split(self.make(5), 1.5, np.random.default_rng(4))

@@ -11,6 +11,8 @@ and the iRprop- state they leave must be bit for bit those of the
 references.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ def ref_tune(individual, train, budget):
         return "no-lcf", 0
     X, y = train.X, train.y
     n_steps = budget.steps_for(individual.total_nodes())
-    trace = bp.forward_trace(individual, X, train.token)
+    trace = bp.forward_trace(individual, X)
     model, r2 = bp.fit_and_score(trace.roots(individual), y)
     best_r2 = -np.inf if r2 is None else r2
     best = ref_snapshot(individual)
@@ -82,14 +84,14 @@ def ref_tune(individual, train, budget):
             break
         bp.irprop_minus_step(grads)
         moves += 1
-        individual.bump_weights_version()
+        individual.weights_changed()
         ref_refresh(trace)
         model, r2 = bp.fit_and_score(trace.roots(individual), y)
         if r2 is not None and r2 > best_r2:
             best_r2 = r2
             best = ref_snapshot(individual)
     ref_restore(best)
-    individual.bump_weights_version()
+    individual.weights_changed()
     return stop, moves
 
 
@@ -103,7 +105,7 @@ def ref_global_tune(population, table, train, steps):
         for individual in population:
             if not individual.has_lcf():
                 continue
-            trace = bp.forward_trace(individual, X, train.token)
+            trace = bp.forward_trace(individual, X)
             model, _ = bp.fit_and_score(trace.roots(individual), y)
             if model is None:
                 continue
@@ -291,3 +293,24 @@ def test_global_tune_matches_when_a_member_fails(monkeypatch, hook, poison):
         for k in range(6):
             global_both(seed, rounds=1,
                         wrap=lambda run: failing_on_call(monkeypatch, hook, k, poison, run))
+
+
+def test_global_tune_stops_quietly_when_the_sum_overflows():
+    # every member's partials are finite, their sum is not: the descent
+    # stops on the sum without warning the caller
+    overflowed = 0
+    for seed in range(40):
+        population, table, train, steps = population_case(seed)
+        ref_population, ref_table, ref_train, _ = population_case(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the reference sums unguarded
+            stop = ref_global_tune(ref_population, ref_table, ref_train, steps)
+        if stop != "sum":
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            global_tune(population, table, train, steps)
+        assert table.epoch == ref_table.epoch < steps
+        assert_same_state(list(table.weights.values()), list(ref_table.weights.values()))
+        overflowed += 1
+    assert overflowed >= 2

@@ -146,7 +146,6 @@ class TestTournament:
 
     def test_selection_frequency_increases_with_rank(self):
         engine = make_engine("baseline", seed=7, pop_size=30, tournament=2, elite=2)
-        train = engine.train
         # six individuals with pinned, strictly increasing fitness
         from mggp.fitness import FitnessReport
 
@@ -154,7 +153,7 @@ class TestTournament:
         for k in range(6):
             ind = Individual([Gene(Var(1))], 2)
             ind.fitness = FitnessReport(train_r2=k / 10.0, valid=True)
-            ind._fit_key = (train.token, ind._wver, 0)
+            ind._fit_key = engine.epoch
             pop.append(ind)
         counts = np.zeros(6)
         n = 10_000

@@ -24,8 +24,8 @@ from mggp.exprtree import (
     parse_tree,
     pick_node,
     random_tree,
+    logsig_is_increasing,
     replace_subtree,
-    set_logsig_increasing,
     trees_equal,
 )
 
@@ -77,17 +77,12 @@ class TestEval:
         assert eval_batch(Func(Fn.SUB, (Var(1), Var(2))), X)[0] == pytest.approx(x - 2)
         assert eval_batch(Func(Fn.MUL, (Var(1), Var(2))), X)[0] == pytest.approx(2 * x)
 
-    def test_logsig_flag_switches_orientation(self):
-        X = np.array([[2.0]])
-        tree = Func(Fn.LOGSIG, (Var(1),))
-        decreasing = eval_batch(tree, X)[0]
-        try:
-            set_logsig_increasing(True)
-            increasing = eval_batch(tree, X)[0]
-        finally:
-            set_logsig_increasing(False)
-        assert decreasing == pytest.approx(1 / (1 + math.exp(2.0)))
-        assert increasing == pytest.approx(1 / (1 + math.exp(-2.0)))
+    def test_logsig_is_the_decreasing_logistic(self):
+        X = np.array([[2.0], [-3.0]])
+        out = eval_batch(Func(Fn.LOGSIG, (Var(1),)), X)
+        assert out[0] == pytest.approx(1 / (1 + math.exp(2.0)))
+        assert out[1] == pytest.approx(1 / (1 + math.exp(-3.0)))
+        assert logsig_is_increasing() is False
 
     def test_nonfinite_propagates(self):
         tree = Func(Fn.EXP, (Func(Fn.POW6, (Var(1),)),))
@@ -285,16 +280,11 @@ class TestIdentities:
         assert np.all(err <= 1e-12)
         assert eval_batch(Func(Fn.SINC, (Var(1),)), np.array([[0.0]]))[0] == 1.0
 
-    @pytest.mark.parametrize("increasing", [False, True])
-    def test_logsig_two_sided_identity(self, increasing):
+    def test_logsig_two_sided_identity(self):
         xs = np.linspace(-30, 30, 601).reshape(-1, 1)
         tree = Func(Fn.LOGSIG, (Var(1),))
-        try:
-            set_logsig_increasing(increasing)
-            plus = eval_batch(tree, xs)
-            minus = eval_batch(tree, -xs)
-        finally:
-            set_logsig_increasing(False)
+        plus = eval_batch(tree, xs)
+        minus = eval_batch(tree, -xs)
         assert np.all(np.abs(plus + minus - 1.0) <= 1e-12)
 
 

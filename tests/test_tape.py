@@ -7,7 +7,6 @@ bit against an independent implementation.
 """
 
 import numpy as np
-import pytest
 from scipy.special import expit
 
 from mggp.backprop import backward, forward_trace
@@ -23,9 +22,7 @@ from mggp.exprtree import (
     Var,
     eval_batch,
     iter_nodes,
-    logsig_is_increasing,
     random_tree,
-    set_logsig_increasing,
 )
 from mggp.fitness import LinearModel
 
@@ -47,7 +44,7 @@ def ref_apply(kind, args):
     if kind is Fn.EXP:
         return np.exp(x)
     if kind is Fn.LOGSIG:
-        return expit(x) if logsig_is_increasing() else expit(-x)
+        return expit(-x)
     if kind is Fn.TANH:
         return np.tanh(x)
     if kind is Fn.SINC:
@@ -90,8 +87,7 @@ def ref_derivative(kind, child_values, i):
         return np.exp(x)
     if kind is Fn.LOGSIG:
         s = expit(x)
-        d = s * (1.0 - s)
-        return d if logsig_is_increasing() else -d
+        return -(s * (1.0 - s))
     if kind is Fn.TANH:
         t = np.tanh(x)
         return 1.0 - t * t
@@ -157,14 +153,6 @@ def fuzzed_genes(seed, count, dim=3):
     ], rng
 
 
-@pytest.fixture(params=[False, True], ids=["logsig-decreasing", "logsig-increasing"])
-def logsig_orientation(request):
-    before = logsig_is_increasing()
-    set_logsig_increasing(request.param)
-    yield request.param
-    set_logsig_increasing(before)
-
-
 def test_fuzz_covers_every_operator_and_leaf_kind():
     genes, _ = fuzzed_genes(0, 400)
     kinds = set()
@@ -185,7 +173,7 @@ def test_fuzz_covers_every_operator_and_leaf_kind():
     assert shared
 
 
-def test_eval_batch_and_trace_roots_match_recursive_evaluator(logsig_orientation):
+def test_eval_batch_and_trace_roots_match_recursive_evaluator():
     genes, rng = fuzzed_genes(1, 400)
     X = rng.uniform(-2.0, 2.0, size=(24, 3))
     X[0] = 0.0  # hits the sinc singularity
@@ -199,8 +187,13 @@ def test_eval_batch_and_trace_roots_match_recursive_evaluator(logsig_orientation
             assert np.array_equal(eval_batch(gene.root, X), expected, equal_nan=True)
             assert np.array_equal(gene.output(X), expected, equal_nan=True)
             assert np.array_equal(root, expected, equal_nan=True)
-            for node in iter_nodes(gene.root):
-                assert np.array_equal(trace.value(node), values[node], equal_nan=True)
+            # a gene without LCF leaves records only its root
+            for node, value in zip(gene.nodes, trace.slots[gene]):
+                if gene.has_lcf or node is gene.root:
+                    assert np.array_equal(value, values[node], equal_nan=True)
+                else:
+                    assert value is None
+                    assert np.array_equal(eval_batch(node, X), values[node], equal_nan=True)
 
 
 def test_eval_batch_uses_a_gene_tape_only_for_that_gene_root():
@@ -221,7 +214,7 @@ def assert_same_gradients(table, expected):
         assert np.array_equal(d_b, ref_b, equal_nan=True)
 
 
-def test_backward_matches_recursive_reference_bit_for_bit(logsig_orientation):
+def test_backward_matches_recursive_reference_bit_for_bit():
     genes, rng = fuzzed_genes(3, 480)
     X = rng.uniform(-1.5, 1.5, size=(20, 3))
     y = rng.normal(size=20)
@@ -274,28 +267,26 @@ def test_structural_measures_come_from_one_walk():
         assert gene.nodes[-1] is gene.root
 
 
-def test_a_token_trace_reads_lcf_free_roots_through_the_gene_cache():
-    # tuning passes the dataset token; a gene without LCF leaves then keeps
-    # only its cached root, and nothing downstream may differ
+def test_a_trace_reads_lcf_free_roots_through_the_gene_cache():
+    # a gene without LCF leaves keeps only its cached root, and nothing
+    # downstream may differ
     genes, rng = fuzzed_genes(7, 240)
     X = rng.uniform(-1.5, 1.5, size=(12, 3))
     y = rng.normal(size=12)
-    token = object()
     checked = 0
     for start in range(0, len(genes), 4):
         ind = Individual(genes[start : start + 4], 3)
-        cached = forward_trace(ind, X, token)
-        plain = forward_trace(ind, X)
+        trace = forward_trace(ind, X)
         for gene in ind.genes:
             if gene.has_lcf:
                 continue
-            assert cached.slots[gene][-1] is gene.output(X, token)
-            assert cached.slots[gene][:-1] == [None] * (gene.node_count - 1)
-            assert np.array_equal(cached.slots[gene][-1], plain.slots[gene][-1], equal_nan=True)
-            for node in iter_nodes(gene.root):
-                assert np.array_equal(cached.value(node), plain.value(node), equal_nan=True)
+            assert trace.slots[gene][-1] is gene.output(X)
+            assert trace.slots[gene][:-1] == [None] * (gene.node_count - 1)
+            with np.errstate(all="ignore"):
+                expected = ref_eval(gene.root, X)
+            assert np.array_equal(trace.slots[gene][-1], expected, equal_nan=True)
             checked += 1
         if ind.has_lcf():
             model = LinearModel(c0=0.2, c=rng.normal(size=len(ind.genes)))
-            assert_same_gradients(backward(ind, cached, y, model), ref_gradients(ind, X, y, model))
+            assert_same_gradients(backward(ind, trace, y, model), ref_gradients(ind, X, y, model))
     assert checked > 20
