@@ -328,9 +328,7 @@ def tune(individual, train, budget: StepBudget = StepBudget()):
     n_steps = budget.steps_for(individual.total_nodes())
     if _descend([individual], sets, train, n_steps, individual.weights_changed, keep_best):
         trace = forward_trace(individual, train.X)
-        _, r2 = fit_and_score(trace.roots(individual), train.y)
-        if r2 is not None:
-            keep_best(r2)
+        keep_best(fit_and_score(trace.roots(individual), train.y)[1])
     for w, (a, b) in best.items():
         w.set_values(a, b)
     individual.weights_changed()

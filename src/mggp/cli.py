@@ -4,7 +4,8 @@ Subcommands
 -----------
 gen      write a generated benchmark dataset (train/test CSV pair + manifest)
 run      execute seeded runs for one or more configuration codenames,
-         appending one JSON record per run to ``records.jsonl``
+         appending one JSON record per run to ``records.jsonl`` and
+         skipping the runs it already records
 report   per-configuration summary table (text + CSV), with a
          versus-baseline Mann-Whitney verdict when baseline records exist
 compare  rank-test two configurations from a records file
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -148,20 +150,40 @@ def _resolve_target(raw):
         return raw
 
 
-def _dataset_for_run(args, seed: int, run_index: int) -> tuple[Dataset, Dataset, str]:
+def _dataset_name(args) -> str:
+    name = args.dataset
+    return name.lower() if name.lower() in GENERATORS else Path(name).stem
+
+
+def _dataset_for_run(args, seed: int, run_index: int) -> tuple[Dataset, Dataset]:
     name = args.dataset
     if name.lower() in GENERATORS:
         rng = np.random.default_rng(seed)
-        train, test = generate(name.lower(), rng)
-        return train, test, name.lower()
+        return generate(name.lower(), rng)
     path = Path(name)
     if not path.exists():
         raise DataError(f"dataset {name!r} is neither a generator nor a file")
     data = load_csv(path, target=_resolve_target(args.target_col),
                     header=args.header, name=path.stem, role="full")
     rng = np.random.default_rng(args.split_seed + run_index)
-    train, test = split(data, args.split_ratio, rng)
-    return train, test, path.stem
+    return split(data, args.split_ratio, rng)
+
+
+def _recorded_runs(path: Path) -> set:
+    """The (codename, dataset, seed) runs ``path`` records, read under the
+    rules of :func:`load_records` (a missing file records none).  An
+    unfinished last line is cut off, so the next record starts a line of
+    its own."""
+    if not path.exists():
+        return set()
+    records, truncated = _read_records(path)
+    data = path.read_bytes()
+    if truncated:
+        os.truncate(path, data.rfind(b"\n") + 1)
+    elif data and not data.endswith(b"\n"):  # a last record without its newline
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+    return {(rec.codename, rec.dataset, rec.seed) for rec in records}
 
 
 def _cmd_run(args) -> int:
@@ -177,13 +199,18 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / RECORDS_NAME
+    recorded = _recorded_runs(records_path)
+    ds_name = _dataset_name(args)
     written = 0
     with open(records_path, "a") as sink:
         for mode in modes:
             cfg = EngineConfig.for_mode(mode)
             for i in range(args.runs):
                 seed = args.seed + i
-                train, test, ds_name = _dataset_for_run(args, seed, i)
+                if (mode.codename, ds_name, seed) in recorded:
+                    print(f"{mode.codename} seed={seed} {ds_name}: already recorded, skipped")
+                    continue
+                train, test = _dataset_for_run(args, seed, i)
                 started = time.perf_counter()
                 result = run_engine(cfg, mode, train, test, budget, seed)
                 record = RunRecord(
@@ -236,7 +263,17 @@ def load_records(where) -> list[RunRecord]:
         path = path / RECORDS_NAME
     if not path.exists():
         raise DataError(f"no records at {path}")
+    records, _ = _read_records(path)
+    if not records:
+        raise DataError(f"{path} holds no records")
+    return records
+
+
+def _read_records(path: Path) -> tuple[list[RunRecord], bool]:
+    """The records of ``path``, and whether a truncated last line was
+    skipped."""
     records = []
+    truncated = False
     with open(path) as fh:
         for number, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -250,11 +287,10 @@ def load_records(where) -> list[RunRecord]:
                     raise DataError(f"{path}, line {number}: not JSON: {cause}") from exc
                 print(f"mggp: warning: {path}, line {number}: skipping a truncated last "
                       f"line ({cause})", file=sys.stderr)
+                truncated = True
             except TypeError as exc:
                 raise DataError(f"{path}, line {number}: not a run record: {exc}") from exc
-    if not records:
-        raise DataError(f"{path} holds no records")
-    return records
+    return records, truncated
 
 
 def _group(records: list[RunRecord]) -> dict[str, list[RunRecord]]:

@@ -168,9 +168,9 @@ class Individual:
         self.genes: list[Gene] = list(genes)
         self.dim = dim
         self.model = None
-        self.fitness = None
+        self.fitness = None  # training R^2, -inf when the fit is invalid
         self._fit_key = None
-        self._rank = None  # (fitness report, ordering key derived from it)
+        self._rank = None  # ordering key, stored with the fit
 
     def total_nodes(self) -> int:
         return sum(g.node_count for g in self.genes)
@@ -262,27 +262,22 @@ class Engine:
     def epoch(self) -> int:
         return self.table.epoch if self.table is not None else 0
 
-    def evaluate(self, ind: Individual):
+    def evaluate(self, ind: Individual) -> float:
         epoch = self.epoch
         if ind._fit_key == epoch:
             return ind.fitness
-        model, report = _fitness.fit_linear(ind, self.train, epoch)
-        ind.model = model
-        ind.fitness = report
+        ind.model, r2 = _fitness.fit_linear(ind, self.train, epoch)
+        ind.fitness = r2
+        ind._rank = (r2, -ind.total_nodes())
         ind._fit_key = epoch
         self.evaluations += 1
-        return report
+        return r2
 
     def fitness_key(self, ind: Individual) -> tuple:
-        """Orders individuals: valid above invalid, then higher R^2, then
-        fewer total nodes."""
-        report = self.evaluate(ind)
-        rank = ind._rank
-        if rank is None or rank[0] is not report:
-            # genes are only replaced before an offspring is first
-            # evaluated, so the node total is fixed once a report exists
-            rank = ind._rank = (report, (*report.order_key, -ind.total_nodes()))
-        return rank[1]
+        """Orders individuals: higher R^2 (invalid ones, at -inf, last),
+        then fewer total nodes."""
+        self.evaluate(ind)
+        return ind._rank
 
     # -- structure handling -------------------------------------------
 
@@ -483,16 +478,12 @@ class Engine:
             mean_a = sum(a for a, _ in candidates) / len(candidates)
             mean_b = sum(b for _, b in candidates) / len(candidates)
             candidates.append((mean_a, mean_b))
-            best = None
-            best_key = None
+            best, best_r2 = candidates[-1], -math.inf  # all invalid: adopt the mean
             for a, b in candidates:
                 self._rebind_group(ind, index, a, b)
-                report = self.evaluate(ind)
-                if report.valid and (best_key is None or report.train_r2 > best_key):
-                    best_key = report.train_r2
-                    best = (a, b)
-            if best is None:
-                best = candidates[-1]  # all invalid: adopt the mean
+                r2 = self.evaluate(ind)
+                if r2 > best_r2:
+                    best, best_r2 = (a, b), r2
             self._rebind_group(ind, index, *best)
             self.evaluate(ind)
         return ind
@@ -534,8 +525,6 @@ class Engine:
         tune every non-elite offspring, and the globally synchronised mode
         updates the shared table once after the population is formed."""
         cfg = self.cfg
-        for ind in pop:
-            self.evaluate(ind)
         ranked = sorted(pop, key=self.fitness_key, reverse=True)
         elites = ranked[: cfg.elite]
         need = cfg.pop_size - cfg.elite
@@ -574,7 +563,7 @@ class Engine:
         new_pop = list(elites) + offspring
         if self.mode.mode == "G":
             global_tune(new_pop, self.table, self.train, cfg.global_steps)
-        for ind in new_pop:
+        for ind in new_pop:  # fit the offspring; in G mode refit all at the new epoch
             self.evaluate(ind)
         return new_pop
 
@@ -601,7 +590,8 @@ class RunBudget:
 @dataclass
 class RunResult:
     """Outcome of one run: the best-on-train individual found over the whole
-    run (weights detached from any shared table), its scores and metrics,
+    run (weights detached from any shared table, top-level model and
+    training fitness kept), its scores and metrics,
     and a per-generation trace of (generation, best-so-far train R^2,
     fitness evaluations, elapsed seconds)."""
 
@@ -632,26 +622,17 @@ def run(cfg: EngineConfig, mode: ModeConfig, train, test, budget: RunBudget,
     engine = Engine(cfg, mode, train, rng)
     started = time.perf_counter()
     pop = engine.init_population()
-    for ind in pop:
-        engine.evaluate(ind)
-
-    best_key = None
-    best_snapshot = None
+    best = None
 
     def consider(candidates: list[Individual]) -> None:
-        nonlocal best_key, best_snapshot
+        nonlocal best
         top = max(candidates, key=engine.fitness_key)
-        key = engine.evaluate(top).order_key
-        if best_key is None or key > best_key:
-            best_key = key
-            snap = engine.clone_individual(top, detach=True)
-            best_snapshot = snap
-
-    def best_r2() -> float:
-        return best_key[1] if best_key and best_key[0] else -math.inf
+        if best is None or top.fitness > best.fitness:
+            best = engine.clone_individual(top, detach=True)
+            best.model, best.fitness = top.model, top.fitness
 
     consider(pop)
-    history = [(0, best_r2(), engine.evaluations, time.perf_counter() - started)]
+    history = [(0, best.fitness, engine.evaluations, time.perf_counter() - started)]
     generation = 0
     while True:
         if budget.max_generations is not None and generation >= budget.max_generations:
@@ -662,16 +643,15 @@ def run(cfg: EngineConfig, mode: ModeConfig, train, test, budget: RunBudget,
         generation += 1
         consider(pop)
         history.append(
-            (generation, best_r2(), engine.evaluations, time.perf_counter() - started)
+            (generation, best.fitness, engine.evaluations, time.perf_counter() - started)
         )
 
-    test_report = _fitness.evaluate(best_snapshot, test)
     return RunResult(
-        best=best_snapshot,
-        train_r2=best_r2(),
-        test_r2=test_report.train_r2 if test_report.valid else -math.inf,
-        lcf_ratio=_fitness.lcf_ratio(best_snapshot),
-        mean_depth=_fitness.mean_gene_depth(best_snapshot),
+        best=best,
+        train_r2=best.fitness,
+        test_r2=_fitness.evaluate(best, test),
+        lcf_ratio=_fitness.lcf_ratio(best),
+        mean_depth=_fitness.mean_gene_depth(best),
         history=history,
         seed=seed,
         generations=generation,

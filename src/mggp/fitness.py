@@ -21,22 +21,6 @@ class LinearModel:
         return self.c0 + G @ self.c
 
 
-@dataclass(frozen=True)
-class FitnessReport:
-    """Training fitness; ``valid`` is False when any gene output or model
-    coefficient is non-finite.  Invalid reports rank below every valid one."""
-
-    train_r2: float
-    valid: bool
-
-    @property
-    def order_key(self) -> tuple:
-        return (self.valid, self.train_r2 if self.valid else -np.inf)
-
-
-INVALID = FitnessReport(train_r2=-np.inf, valid=False)
-
-
 def ols_fit(G, y) -> LinearModel:
     """Least-squares fit of ``y ~ c0 + G @ c``.
 
@@ -71,39 +55,36 @@ def r_squared(y, yhat) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def fit_and_score(columns, y) -> tuple[LinearModel | None, float | None]:
+def fit_and_score(columns, y) -> tuple[LinearModel | None, float]:
     """Fit ``y ~ c0 + sum_k c_k * columns[k]`` by OLS and score it by R^2.
 
-    Returns ``(None, None)`` when any column entry, coefficient or the R^2
-    is non-finite.
+    Returns ``(None, -inf)`` when any column entry, coefficient or the R^2
+    is non-finite, so an invalid fit ranks below every valid one.
     """
     y = np.asarray(y, dtype=float)
     G = np.column_stack(columns)
     if not np.isfinite(G).all():
-        return None, None
+        return None, -np.inf
     model = ols_fit(G, y)
     if not (np.isfinite(model.c0) and np.isfinite(model.c).all()):
-        return None, None
+        return None, -np.inf
     r2 = r_squared(y, model.predict(G))
     if not np.isfinite(r2):
-        return None, None
+        return None, -np.inf
     return model, r2
 
 
-def fit_linear(individual, data, epoch: int = 0) -> tuple[LinearModel | None, FitnessReport]:
+def fit_linear(individual, data, epoch: int = 0) -> tuple[LinearModel | None, float]:
     """Fit the top-level model of ``individual`` on ``data`` and score it.
 
-    Returns ``(None, INVALID)`` when any gene output or coefficient is
-    non-finite.  Pure: caches live on genes, never on the report.
+    Pure: caches live on genes, never on the result.
     """
-    model, r2 = fit_and_score(individual.gene_outputs(data, epoch), data.y)
-    if model is None:
-        return None, INVALID
-    return model, FitnessReport(train_r2=r2, valid=True)
+    return fit_and_score(individual.gene_outputs(data, epoch), data.y)
 
 
-def evaluate(individual, data, epoch: int = 0) -> FitnessReport:
-    """Training fitness of ``individual`` on ``data`` (R^2, maximised)."""
+def evaluate(individual, data, epoch: int = 0) -> float:
+    """Training fitness of ``individual`` on ``data``: R^2 (maximised), or
+    ``-inf`` when the fit is invalid."""
     return fit_linear(individual, data, epoch)[1]
 
 

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from mggp.bench import generate
 from mggp.cli import RunRecord, load_records, main
+from mggp.exprtree import eval_batch, parse_tree
+from mggp.fitness import ols_fit
 
 
 def mask_timing(line: str) -> str:
@@ -75,6 +79,15 @@ class TestRun:
             rec = RunRecord.from_json(line)
             assert rec.to_json() == line
 
+    def test_best_coeffs_are_the_fit_of_the_best_genes(self, tmp_path):
+        path = run_small(tmp_path, configs=("baseline", "UB", "SB", "GB"), runs=2)
+        for rec in load_records(path):
+            train, _ = generate(rec.dataset, np.random.default_rng(rec.seed))
+            columns = [eval_batch(parse_tree(text, rec.dim), train.X) for text in rec.best_genes]
+            model = ols_fit(np.column_stack(columns), train.y)
+            assert len(rec.best_coeffs) == 1 + len(rec.best_genes)
+            assert rec.best_coeffs == [model.c0, *model.c.tolist()]
+
     def test_rerun_identical_modulo_wall_time(self, tmp_path):
         p1 = run_small(tmp_path, out=tmp_path / "r1")
         p2 = run_small(tmp_path, out=tmp_path / "r2")
@@ -102,6 +115,48 @@ class TestRun:
             "--generations", "1", "--out", str(tmp_path),
         ])
         assert code == 2
+
+    def test_a_rerun_adds_only_the_runs_not_yet_recorded(self, tmp_path, capsys):
+        out = tmp_path / "records"
+        run_small(tmp_path, runs=2, out=out)
+        capsys.readouterr()
+        path = run_small(tmp_path, runs=3, out=out)
+        printed = capsys.readouterr().out
+        assert "baseline seed=7 s2d: already recorded, skipped" in printed
+        assert "baseline seed=8 s2d: already recorded, skipped" in printed
+        assert "wrote 1 records" in printed
+        assert [r.seed for r in load_records(path)] == [7, 8, 9]
+        assert main(["report", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["baseline", "3"]
+
+    def test_a_rerun_cuts_a_truncated_last_line_and_redoes_its_run(self, tmp_path, capsys):
+        out = tmp_path / "records"
+        path = run_small(tmp_path, runs=2, out=out)
+        whole = path.read_text()
+        lines = whole.splitlines(keepends=True)
+        path.write_text(lines[0] + lines[1][:40])  # an interrupted append
+        run_small(tmp_path, runs=2, out=out)
+        capsys.readouterr()
+        assert [mask_timing(line) for line in path.read_text().splitlines()] == \
+            [mask_timing(line) for line in whole.splitlines()]
+        assert [r.seed for r in load_records(path)] == [7, 8]
+        assert capsys.readouterr().err == ""  # nothing left to skip
+
+    def test_a_rerun_terminates_a_last_record_without_its_newline(self, tmp_path):
+        out = tmp_path / "records"
+        path = run_small(tmp_path, runs=1, out=out)
+        path.write_text(path.read_text().rstrip("\n"))
+        run_small(tmp_path, runs=2, out=out)
+        assert [r.seed for r in load_records(path)] == [7, 8]
+
+    def test_a_rerun_over_a_corrupt_line_is_a_data_error_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "records"
+        path = run_small(tmp_path, runs=1, out=out)
+        path.write_text("[1, 2]\n" + path.read_text())
+        before = path.read_bytes()
+        assert main(["run", "--dataset", "s2d", "--runs", "2", "--generations", "2",
+                     "--seed", "7", "--out", str(out)]) == 2
+        assert path.read_bytes() == before
 
     def test_bad_codename_is_usage_error(self, tmp_path):
         code = main([
@@ -196,8 +251,8 @@ class TestReport:
 
     def test_repeated_runs_are_refused(self, tmp_path, capsys):
         out = tmp_path / "records"
-        run_small(tmp_path, runs=2, out=out)
-        run_small(tmp_path, runs=2, out=out)  # the same experiment, appended again
+        path = run_small(tmp_path, runs=2, out=out)
+        path.write_text(path.read_text() * 2)  # every run recorded twice
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
         err = capsys.readouterr().err

@@ -71,7 +71,7 @@ def ref_tune(individual, train, budget):
     n_steps = budget.steps_for(individual.total_nodes())
     trace = bp.forward_trace(individual, X)
     model, r2 = bp.fit_and_score(trace.roots(individual), y)
-    best_r2 = -np.inf if r2 is None else r2
+    best_r2 = r2
     best = ref_snapshot(individual)
     stop, moves = "budget", 0
     for _ in range(n_steps):
@@ -87,7 +87,7 @@ def ref_tune(individual, train, budget):
         individual.weights_changed()
         ref_refresh(trace)
         model, r2 = bp.fit_and_score(trace.roots(individual), y)
-        if r2 is not None and r2 > best_r2:
+        if r2 > best_r2:
             best_r2 = r2
             best = ref_snapshot(individual)
     ref_restore(best)
@@ -227,7 +227,7 @@ def nan_gradient(table):
 
 
 def no_fit(_):
-    return None, None
+    return None, -np.inf
 
 
 def tune_both(seed, mode, rounds=3):

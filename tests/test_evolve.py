@@ -136,6 +136,31 @@ class TestInitPopulation:
                 assert node.weights is engine.table.weights[node.index]
 
 
+class TestFitnessKey:
+    def test_invalid_last_and_equal_r2_ties_go_to_fewer_nodes(self):
+        engine = make_engine("baseline", seed=5)
+        x1 = Var(1)
+        # exp(x1^36) is inf wherever |x1| > 1.2 on the toy inputs
+        overflow = Func(Fn.EXP, (Func(Fn.POW6, (Func(Fn.POW6, (Var(1),)),)),))
+        invalid = [
+            Individual([Gene(overflow)], 2),
+            Individual([Gene(overflow), Gene(Var(2))], 2),
+        ]
+        # one R^2, three sizes: adding 0 or multiplying by 1 leaves x1 as it is
+        tied = [
+            Individual([Gene(Func(Fn.ADD, (x1, Func(Fn.MUL, (x1, Const(0.0))))))], 2),
+            Individual([Gene(x1)], 2),
+            Individual([Gene(Func(Fn.MUL, (x1, Const(1.0))))], 2),
+        ]
+        pop = [invalid[0], tied[0], invalid[1], tied[1], tied[2]]
+        ranked = sorted(pop, key=engine.fitness_key, reverse=True)
+        assert ranked[:3] == [tied[1], tied[2], tied[0]]
+        assert set(map(id, ranked[3:])) == set(map(id, invalid))
+        assert len({engine.evaluate(ind) for ind in tied}) == 1
+        assert all(engine.evaluate(ind) == -np.inf for ind in invalid)
+        assert engine.fitness_key(tied[1]) == (engine.evaluate(tied[1]), -1)
+
+
 class TestTournament:
     def test_large_tournament_returns_global_best(self):
         engine = make_engine("baseline", seed=6, pop_size=20, tournament=200, elite=2)
@@ -147,12 +172,11 @@ class TestTournament:
     def test_selection_frequency_increases_with_rank(self):
         engine = make_engine("baseline", seed=7, pop_size=30, tournament=2, elite=2)
         # six individuals with pinned, strictly increasing fitness
-        from mggp.fitness import FitnessReport
-
         pop = []
         for k in range(6):
             ind = Individual([Gene(Var(1))], 2)
-            ind.fitness = FitnessReport(train_r2=k / 10.0, valid=True)
+            ind.fitness = k / 10.0
+            ind._rank = (k / 10.0, -1)
             ind._fit_key = engine.epoch
             pop.append(ind)
         counts = np.zeros(6)
@@ -451,8 +475,7 @@ class TestSyncRepair:
         engine.sync_repair(ind)
         for node in ind.lcf_nodes():
             assert node.weights.values_equal(w_good)
-        report = engine.evaluate(ind)
-        assert report.train_r2 == pytest.approx(1.0, abs=1e-12)
+        assert engine.evaluate(ind) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_candidates_invalid_adopts_mean(self):
         engine = make_engine("SB", seed=32)
@@ -465,7 +488,7 @@ class TestSyncRepair:
         nodes = ind.lcf_nodes()
         assert nodes[0].weights is nodes[1].weights
         assert nodes[0].weights.a == 0.0  # mean of +/-1e300
-        assert not engine.evaluate(ind).valid
+        assert engine.evaluate(ind) == -np.inf
 
 
 class TestStepGeneration:
@@ -493,10 +516,10 @@ class TestStepGeneration:
     def test_best_fitness_never_decreases(self, codename):
         engine = make_engine(codename, seed=35, pop_size=20, elite=3, tournament=3)
         pop = engine.init_population()
-        best = max(engine.evaluate(i).train_r2 for i in pop)
+        best = max(engine.evaluate(i) for i in pop)
         for _ in range(5):
             pop = engine.step_generation(pop)
-            new_best = max(engine.evaluate(i).train_r2 for i in pop)
+            new_best = max(engine.evaluate(i) for i in pop)
             assert new_best >= best - 1e-12
             best = new_best
 
@@ -611,5 +634,4 @@ class TestRun:
         # and its stored train fitness matches a fresh evaluation
         from mggp.fitness import evaluate
 
-        report = evaluate(res.best, train)
-        assert report.train_r2 == pytest.approx(res.train_r2, abs=1e-12)
+        assert evaluate(res.best, train) == pytest.approx(res.train_r2, abs=1e-12)
