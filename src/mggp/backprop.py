@@ -11,10 +11,20 @@ observes.
 Gradient aggregation across synchronised LCF groups falls out of sharing:
 the gradient table is keyed by weight-set object, so leaves that share a
 set accumulate into a single summed entry.
+
+In the globally synchronised mode clones share ``Gene`` objects.  A descent
+step handles a gene that several members hold gene-major: it is traced and
+its local derivatives computed once, then swept once per holder from that
+holder's own adjoint.  Each sweep records its leaves' partials, and these
+are replayed into the holder's table in gene and leaf order, so every
+floating-point operation, and its order, is that of one trace per member.
+One shared gene's slots and derivatives are live at a time, and a holder
+keeps one residual vector until the gene-major sweeps are done.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,16 +96,21 @@ def forward_trace(individual, X) -> EvalTrace:
     through the cache of :meth:`Gene.output`: its value never changes and
     the backward pass never enters it.
     """
-    X = np.asarray(X, dtype=float)
+    return _trace(individual, np.asarray(X, dtype=float))
+
+
+def _trace(individual, X: np.ndarray, shared=frozenset(), epoch: int = 0) -> EvalTrace:
+    """:func:`forward_trace`, recording only the root of the genes in
+    ``shared`` too, read through the output cache at ``epoch``."""
     trace = EvalTrace(X)
     with np.errstate(all="ignore"):
         for gene in individual.genes:
             if gene in trace.slots:
                 continue
-            if gene.has_lcf:
+            if gene.has_lcf and gene not in shared:
                 trace.slots[gene] = run_tape(gene, X)
             else:
-                trace.slots[gene] = [None] * (gene.node_count - 1) + [gene.output(X)]
+                trace.slots[gene] = [None] * (gene.node_count - 1) + [gene.output(X, epoch)]
     return trace
 
 
@@ -187,10 +202,7 @@ def backward(individual, trace: EvalTrace, y, top_model) -> GradientTable:
     y = np.asarray(y, dtype=float)
     table = GradientTable(individual.weight_sets())
     with np.errstate(all="ignore"):
-        yhat = top_model.c0 + sum(
-            c * root for c, root in zip(top_model.c, trace.roots(individual))
-        )
-        residual2 = 2.0 * (yhat - y)
+        residual2 = _residual2(trace.roots(individual), y, top_model)
         for c, gene in zip(top_model.c, individual.genes):
             if c == 0.0 or not gene.has_lcf:
                 continue
@@ -199,11 +211,28 @@ def backward(individual, trace: EvalTrace, y, top_model) -> GradientTable:
     return table
 
 
-def _sweep(gene, values: list, adjoint: np.ndarray, X: np.ndarray, entries: dict) -> None:
+def _residual2(roots, y, top_model) -> np.ndarray:
+    """``2 * (yhat - y)``, the loss's adjoint at the prediction."""
+    yhat = top_model.c0 + sum(c * root for c, root in zip(top_model.c, roots))
+    return 2.0 * (yhat - y)
+
+
+def _add(entries: dict, w: LcfWeights, d_a: float, d_b: np.ndarray) -> None:
+    entry = entries[w]
+    entry[0] += d_a
+    entry[1] += d_b
+
+
+def _sweep(gene, values: list, adjoint: np.ndarray, X: np.ndarray, entries: dict | None,
+           sink: list | None = None, derivatives: dict | None = None) -> None:
     """Reverse sweep over one gene's tape from the root ``adjoint``.
 
     Adjoints flow only into slots whose subtree holds an LCF leaf; the LCF
-    leaves then add their partials in left-to-right order.
+    leaves then add their partials to ``entries`` in left-to-right order,
+    or append them to ``sink`` as ``(weights, d_a, d_b)``.  Sweeps of one
+    gene over the same ``values`` may share a ``derivatives`` dict, which
+    keeps each operator slot's local derivatives after the first sweep
+    computes them.
     """
     program = gene.program
     adjoints = [None] * len(values)
@@ -215,21 +244,28 @@ def _sweep(gene, values: list, adjoint: np.ndarray, X: np.ndarray, entries: dict
         g = adjoints[slot]
         if g is None or op >= OP_CONST:
             continue
-        d = _DERIVATIVE_BY_OP[op]
-        if op < N_BINARY:
-            x, other = values[a], values[b]
-            if program[SLOT * a + 1]:
-                adjoints[a] = g * d(x, other, values[slot], 0)
-            if program[SLOT * b + 1]:
-                adjoints[b] = g * d(x, other, values[slot], 1)
-        else:
-            # the only child of an LCF-dependent operator depends on one too
-            adjoints[a] = g * d(values[a], None, values[slot], 0)
+        local = None if derivatives is None else derivatives.get(slot)
+        if local is None:
+            d = _DERIVATIVE_BY_OP[op]
+            if op < N_BINARY:
+                x, other = values[a], values[b]
+                local = (d(x, other, values[slot], 0) if program[SLOT * a + 1] else None,
+                         d(x, other, values[slot], 1) if program[SLOT * b + 1] else None)
+            else:
+                # the only child of an LCF-dependent operator depends on one too
+                local = (d(values[a], None, values[slot], 0), None)
+            if derivatives is not None:
+                derivatives[slot] = local
+        if local[0] is not None:
+            adjoints[a] = g * local[0]
+        if local[1] is not None:
+            adjoints[b] = g * local[1]
     for node, g in zip(gene.nodes, adjoints):
         if g is not None and isinstance(node, Lcf):
-            entry = entries[node.weights]
-            entry[0] += float(g.sum())
-            entry[1] += X.T @ g
+            if sink is None:
+                _add(entries, node.weights, float(g.sum()), X.T @ g)
+            else:
+                sink.append((node.weights, float(g.sum()), X.T @ g))
 
 
 def irprop_minus_step(grads: GradientTable, params: RpropParams = RpropParams()) -> None:
@@ -265,7 +301,8 @@ def irprop_minus_step(grads: GradientTable, params: RpropParams = RpropParams())
         w.prev_grad = g
 
 
-def _descend(population, weight_sets, train, steps: int, moved, on_fit=None) -> bool:
+def _descend(population, weight_sets, train, steps: int, moved, on_fit=None,
+             epoch=None) -> bool:
     """Up to ``steps`` iRprop- updates of ``weight_sets`` on the loss summed
     over ``population``, the one tuning loop of every mode.
 
@@ -275,34 +312,88 @@ def _descend(population, weight_sets, train, steps: int, moved, on_fit=None) -> 
     population order.  No valid partial, or a non-finite sum, stops the
     descent; otherwise one update is made and ``moved()`` is called.
     Returns True when every step updated, leaving the last weights unscored.
+
+    A member that holds no shared gene is traced, fit and swept on its own.
+    A holder is fit on its shared genes' roots from their output caches at
+    ``epoch()``, the table epoch that ``moved()`` bumps, and its sweeps of
+    shared genes wait until every member is fit; then each shared gene is
+    traced and swept for all its holders (:func:`_sweep_shared`), and the
+    holder's table is rebuilt from the recorded partials before the tables
+    are summed.
     """
     X, y = train.X, train.y
+    tuned = [individual for individual in population if individual.has_lcf()]
+    shared = _shared_genes(tuned)
     for _ in range(steps):
-        total = GradientTable(weight_sets)
-        any_valid = False
-        for individual in population:
-            if not individual.has_lcf():
-                continue
-            trace = forward_trace(individual, X)
+        grads = []  # the fit members' tables, in population order
+        held = {}  # shared gene -> (residual2, c, sink) per holder position
+        replays = []  # (holder's table, its sinks in gene order)
+        for individual in tuned:
+            holds = not shared.isdisjoint(individual.genes)
+            if holds:
+                trace = _trace(individual, X, shared, epoch())
+            else:
+                trace = forward_trace(individual, X)
             model, r2 = fit_and_score(trace.roots(individual), y)
             if model is None:
                 continue
             if on_fit is not None:
                 on_fit(r2)
-            grads = backward(individual, trace, y, model)
-            if not grads.valid:
+            if not holds:
+                grads.append(backward(individual, trace, y, model))
                 continue
-            with np.errstate(over="ignore"):  # an overflow to inf stops the descent below
-                for w, (d_a, d_b) in grads.entries.items():
-                    entry = total.entries[w]
-                    entry[0] += d_a
-                    entry[1] += d_b
-            any_valid = True
+            table = GradientTable(individual.weight_sets())
+            sinks = []
+            with np.errstate(all="ignore"):
+                residual2 = _residual2(trace.roots(individual), y, model)
+                for c, gene in zip(model.c, individual.genes):
+                    if c == 0.0 or not gene.has_lcf:
+                        continue
+                    sinks.append([])
+                    if gene in shared:
+                        held.setdefault(gene, []).append((residual2, c, sinks[-1]))
+                    else:
+                        _sweep(gene, trace.slots[gene], residual2 * c, X, None, sinks[-1])
+            grads.append(table)
+            replays.append((table, sinks))
+        for gene, positions in held.items():
+            _sweep_shared(gene, positions, X)
+        for table, sinks in replays:
+            with np.errstate(all="ignore"):
+                for sink in sinks:
+                    for partial in sink:
+                        _add(table.entries, *partial)
+            table.check_finite()
+        total = GradientTable(weight_sets)
+        any_valid = False
+        with np.errstate(over="ignore"):  # an overflow to inf stops the descent below
+            for table in grads:
+                if table.valid:
+                    for w, (d_a, d_b) in table.entries.items():
+                        _add(total.entries, w, d_a, d_b)
+                    any_valid = True
         if not any_valid or not total.check_finite():
             return False
         irprop_minus_step(total)
         moved()
     return True
+
+
+def _shared_genes(population) -> set:
+    """The LCF genes that more than one member of ``population`` holds."""
+    holders = Counter(gene for ind in population for gene in set(ind.genes) if gene.has_lcf)
+    return {gene for gene, n in holders.items() if n > 1}
+
+
+def _sweep_shared(gene, positions, X: np.ndarray) -> None:
+    """Trace ``gene`` once and sweep it from each ``(residual2, c, sink)``
+    holder position, computing each local derivative once; its slots and
+    derivatives are dropped on return."""
+    derivatives: dict = {}
+    with np.errstate(all="ignore"):
+        values = run_tape(gene, X)
+        for residual2, c, sink in positions:
+            _sweep(gene, values, residual2 * c, X, None, sink, derivatives)
 
 
 def tune(individual, train, budget: StepBudget = StepBudget()):
@@ -357,4 +448,5 @@ def global_tune(population, table: GlobalWeightTable, train, steps: int = 2) -> 
     the loss partials of every individual (its own freshly fit coefficients
     held fixed) per index group and makes one iRprop- update of the table's
     weight sets, whose step-size state the whole population shares."""
-    _descend(population, list(table.weights.values()), train, steps, table.bump)
+    _descend(population, list(table.weights.values()), train, steps, table.bump,
+             epoch=lambda: table.epoch)

@@ -12,6 +12,7 @@ references.
 """
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from mggp.bench import Dataset
 from mggp.evolve import Individual
 from mggp.exprtree import (
     FORWARD,
+    Const,
     Fn,
     Func,
     Gene,
     Lcf,
     LcfWeights,
     TerminalConfig,
+    Var,
     random_tree,
 )
 
@@ -112,10 +115,11 @@ def ref_global_tune(population, table, train, steps):
             grads = bp.backward(individual, trace, y, model)
             if not grads.check_finite():
                 continue
-            for w, (d_a, d_b) in grads.entries.items():
-                entry = total.entries[w]
-                entry[0] += d_a
-                entry[1] += d_b
+            with np.errstate(over="ignore"):  # an overflow to inf stops the loop below
+                for w, (d_a, d_b) in grads.entries.items():
+                    entry = total.entries[w]
+                    entry[0] += d_a
+                    entry[1] += d_b
             any_valid = True
         if not any_valid:
             return "nothing valid"
@@ -190,6 +194,42 @@ def population_case(seed):
             genes.append(overflow_gene(rng, seed % 3, terminals.new_lcf(DIM)))
         population.append(Individual(genes, DIM))
     return population, table, fuzzed_train(rng), int(rng.integers(0, 6))
+
+
+def shared_population_case(seed):
+    """A G-mode population whose members mostly draw their genes, with
+    repeats, from one pool, as the engine's clones share them: a member may
+    hold a gene twice or hold only LCF-free genes.  The pool holds a gene
+    whose four leaves add into one weight set and, for two seeds in three,
+    an overflow-prone gene."""
+    rng = np.random.default_rng(seed)
+    table = GlobalWeightTable(DIM)
+    terminals = TerminalConfig(dim=DIM, use_lcf=True, lcf_weights=table.lookup)
+    perturb(rng, table.weights.values())
+    pool = fuzzed_genes(rng, terminals) + fuzzed_genes(rng, TerminalConfig(dim=DIM, use_lcf=False))
+    leaves = [terminals.new_lcf(1) for _ in range(4)]  # four partials into one entry
+    pool.append(Gene(Func(Fn.ADD, (Func(Fn.MUL, leaves[:2]),
+                                   Func(Fn.SUB, (leaves[2], Func(Fn.SIN, leaves[3:])))))))
+    if seed % 3 < 2:
+        pool.append(overflow_gene(rng, seed % 3, terminals.new_lcf(DIM)))
+    population = []
+    for _ in range(int(rng.integers(2, 8))):
+        if rng.random() < 0.3:  # a member with genes of its own
+            genes = fuzzed_genes(rng, terminals)
+        else:
+            genes = [pool[k] for k in rng.integers(len(pool), size=int(rng.integers(1, 6)))]
+        population.append(Individual(genes, DIM))
+    return population, table, fuzzed_train(rng), int(rng.integers(0, 6))
+
+
+def holder_counts(population):
+    """How many members hold each gene with LCF leaves."""
+    counts = {}
+    for individual in population:
+        for gene in set(individual.genes):
+            if gene.has_lcf:
+                counts[gene] = counts.get(gene, 0) + 1
+    return counts
 
 
 def bits(value):
@@ -268,9 +308,9 @@ def test_tune_matches_when_a_step_fails(monkeypatch, mode, hook, poison, why):
     assert {0, 1, 2, 3} <= moved
 
 
-def global_both(seed, rounds=2, wrap=lambda run: run()):
-    population, table, train, steps = population_case(seed)
-    ref_population, ref_table, ref_train, _ = population_case(seed)
+def global_both(seed, rounds=2, wrap=lambda run: run(), case=population_case):
+    population, table, train, steps = case(seed)
+    ref_population, ref_table, ref_train, _ = case(seed)
     stops = []
     for _ in range(rounds):
         stops.append(wrap(lambda: ref_global_tune(ref_population, ref_table, ref_train, steps)))
@@ -287,12 +327,39 @@ def test_global_tune_matches_the_population_loop():
     assert set(stops) == {"budget", "nothing valid", "sum"}
 
 
+def test_global_tune_matches_the_population_loop_on_shared_genes():
+    stops = []
+    seen = set()
+    for seed in range(60):
+        population, _, _, _ = shared_population_case(seed)
+        counts = holder_counts(population)
+        seen.add("shared" if any(n > 1 for n in counts.values()) else "unshared")
+        seen |= {"twice" for ind in population if len(set(ind.genes)) < len(ind.genes)}
+        seen |= {"lcf-free" for ind in population if not ind.has_lcf()}
+        seen |= {"overflow" for gene, n in counts.items()
+                 if n > 1 and getattr(gene.root, "kind", None) in (Fn.EXP, Fn.SIN)
+                 and gene.node_count == 3}
+        stops += global_both(seed, case=shared_population_case)
+    assert seen == {"shared", "unshared", "twice", "lcf-free", "overflow"}
+    assert set(stops) == {"budget", "nothing valid", "sum"}
+
+
 @pytest.mark.parametrize("hook, poison", [("fit_and_score", no_fit), ("backward", nan_gradient)])
 def test_global_tune_matches_when_a_member_fails(monkeypatch, hook, poison):
     for seed in (1, 2, 4, 5, 7):
         for k in range(6):
             global_both(seed, rounds=1,
                         wrap=lambda run: failing_on_call(monkeypatch, hook, k, poison, run))
+
+
+def test_global_tune_matches_when_a_member_holding_shared_genes_fails(monkeypatch):
+    # a member that holds a shared gene is never swept by ``backward``, so
+    # non-finite gradients reach it through the overflow-prone genes instead
+    for seed in (0, 1, 3, 4, 6, 7):
+        for k in range(8):
+            global_both(seed, rounds=1, case=shared_population_case,
+                        wrap=lambda run: failing_on_call(monkeypatch, "fit_and_score", k,
+                                                         no_fit, run))
 
 
 def test_global_tune_stops_quietly_when_the_sum_overflows():
@@ -302,9 +369,7 @@ def test_global_tune_stops_quietly_when_the_sum_overflows():
     for seed in range(40):
         population, table, train, steps = population_case(seed)
         ref_population, ref_table, ref_train, _ = population_case(seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the reference sums unguarded
-            stop = ref_global_tune(ref_population, ref_table, ref_train, steps)
+        stop = ref_global_tune(ref_population, ref_table, ref_train, steps)
         if stop != "sum":
             continue
         with warnings.catch_warnings():
@@ -314,3 +379,45 @@ def test_global_tune_stops_quietly_when_the_sum_overflows():
         assert_same_state(list(table.weights.values()), list(ref_table.weights.values()))
         overflowed += 1
     assert overflowed >= 2
+
+
+def star_case(_seed=0):
+    """Three members holding one shared gene beside an LCF-free gene of
+    their own, and a fourth holding an unshared gene."""
+    table = GlobalWeightTable(DIM)
+    # one derivative function per operator slot: pow2, add, sin
+    shared = Gene(Func(Fn.SIN, (Func(Fn.ADD, (Func(Fn.POW2, (Lcf(2, table.lookup(2)),)),
+                                              Const(1.5))),)))
+    population = [Individual([shared, Gene(Var(k))], DIM) for k in (1, 2, 3)]
+    population.append(Individual([Gene(Func(Fn.TANH, (Lcf(1, table.lookup(1)),)))], DIM))
+    return population, table, fuzzed_train(np.random.default_rng(0)), 3
+
+
+def test_global_tune_traces_and_differentiates_a_shared_gene_once_per_step(monkeypatch):
+    population, table, train, _ = star_case()
+    shared, own = population[0].genes[0], population[-1].genes[0]
+    for holder in population[:3]:  # every holder sweeps the shared gene
+        model, _ = bp.fit_and_score([g.output(train.X) for g in holder.genes], train.y)
+        assert model.c[0] != 0.0
+    taped, derived = [], []
+    original_tape = bp.run_tape
+
+    def counting_tape(gene, X):
+        taped.append(gene)
+        return original_tape(gene, X)
+
+    def counting(kind, d):
+        def derivative(*args):
+            derived.append(kind)
+            return d(*args)
+        return derivative
+
+    monkeypatch.setattr(bp, "run_tape", counting_tape)
+    monkeypatch.setattr(bp, "_DERIVATIVE_BY_OP",
+                        tuple(counting(kind, d) for kind, d in zip(Fn, bp._DERIVATIVE_BY_OP)))
+    global_tune(population, table, train, steps=1)
+    assert table.epoch == 1
+    assert taped.count(shared) == 1 and taped.count(own) == 1
+    assert Counter(derived) == Counter([Fn.SIN, Fn.ADD, Fn.POW2, Fn.TANH])
+    monkeypatch.undo()
+    assert global_both(0, case=star_case) == ["budget", "budget"]
