@@ -189,6 +189,8 @@ def _recorded_runs(path: Path) -> set:
 def _cmd_run(args) -> int:
     codenames = args.config or ["baseline"]
     modes = [ModeConfig.from_codename(c) for c in codenames]
+    if args.runs <= 0:
+        raise DataError("--runs must be positive")
     if args.generations is None and args.seconds is None:
         args.generations = 50
     if args.generations is not None and args.generations <= 0:

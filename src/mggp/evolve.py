@@ -618,6 +618,9 @@ def run(cfg: EngineConfig, mode: ModeConfig, train, test, budget: RunBudget,
         raise DataError("train and test sets must share dimensionality")
     if np.all(train.y == train.y[0]):
         raise DegenerateDataError("training target is constant; refusing to start")
+    if np.all(test.y == test.y[0]):
+        raise DegenerateDataError(f"test set of {test.name!r}: target is constant, so R^2 "
+                                  "on it is undefined; refusing to start")
     rng = np.random.default_rng(seed)
     engine = Engine(cfg, mode, train, rng)
     started = time.perf_counter()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,10 @@ def ols_fit(G, y) -> LinearModel:
         raise ValueError("G must be 2-d (samples x genes)")
     if not np.isfinite(G).all():
         raise ValueError("design matrix contains non-finite entries")
-    A = np.column_stack([np.ones(G.shape[0]), G])
+    n, k = G.shape
+    A = np.empty((n, k + 1))
+    A[:, 0] = 1.0
+    A[:, 1:] = G
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     return LinearModel(c0=float(coef[0]), c=coef[1:])
 
@@ -48,10 +52,14 @@ def r_squared(y, yhat) -> float:
     yhat = np.asarray(yhat, dtype=float)
     if y.shape != yhat.shape or y.ndim != 1 or y.shape[0] < 2:
         raise ValueError("y and yhat must be equal-length vectors of >= 2 values")
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    # np.add.reduce is the pairwise sum under y.mean() and np.sum; a dot
+    # product would round differently.
+    d = y - np.add.reduce(y) / y.shape[0]
+    ss_tot = float(np.add.reduce(np.multiply(d, d, out=d)))
     if ss_tot == 0.0:
         raise DegenerateDataError("target values are constant; R^2 is undefined")
-    ss_res = float(np.sum((y - yhat) ** 2))
+    d = np.subtract(y, yhat, out=d)
+    ss_res = float(np.add.reduce(np.multiply(d, d, out=d)))
     return 1.0 - ss_res / ss_tot
 
 
@@ -62,14 +70,16 @@ def fit_and_score(columns, y) -> tuple[LinearModel | None, float]:
     is non-finite, so an invalid fit ranks below every valid one.
     """
     y = np.asarray(y, dtype=float)
-    G = np.column_stack(columns)
-    if not np.isfinite(G).all():
+    G = np.empty((y.shape[0], len(columns)))
+    for j, column in enumerate(columns):
+        G[:, j] = column
+    if not np.isfinite(G).all():  # ols_fit raises on it; here it is a verdict
         return None, -np.inf
     model = ols_fit(G, y)
-    if not (np.isfinite(model.c0) and np.isfinite(model.c).all()):
+    if not (math.isfinite(model.c0) and all(map(math.isfinite, model.c.tolist()))):
         return None, -np.inf
     r2 = r_squared(y, model.predict(G))
-    if not np.isfinite(r2):
+    if not math.isfinite(r2):
         return None, -np.inf
     return model, r2
 

@@ -116,6 +116,14 @@ class TestRun:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_no_runs_is_a_data_error_and_creates_nothing(self, tmp_path, capsys, runs):
+        out = tmp_path / "records"
+        assert main(["run", "--dataset", "s2d", "--runs", runs, "--generations", "1",
+                     "--out", str(out)]) == 2
+        assert "--runs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_rerun_adds_only_the_runs_not_yet_recorded(self, tmp_path, capsys):
         out = tmp_path / "records"
         run_small(tmp_path, runs=2, out=out)

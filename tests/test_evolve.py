@@ -613,6 +613,15 @@ class TestRun:
         with pytest.raises(DegenerateDataError):
             run(cfg, mode, train, test, RunBudget(max_generations=1), seed=0)
 
+    def test_degenerate_test_target_refused_before_any_generation(self, monkeypatch):
+        train, test = self.make_data(5)
+        flat = Dataset("rs2d", test.X, np.full(test.n, 0.5), role="test")
+        mode = ModeConfig.from_codename("baseline")
+        cfg = EngineConfig.for_mode(mode, pop_size=10, elite=2, tournament=2)
+        monkeypatch.setattr(Engine, "init_population", lambda self: pytest.fail("run started"))
+        with pytest.raises(DegenerateDataError, match="test set of 'rs2d'"):
+            run(cfg, mode, train, flat, RunBudget(max_generations=1), seed=0)
+
     def test_baseline_s5d_under_time_budget(self):
         train, test = gen_sigmoid(5, False, np.random.default_rng(7))
         mode = ModeConfig.from_codename("baseline")

@@ -1,12 +1,18 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import mggp.backprop as bp
+import mggp.fitness as fitness
 from mggp.bench import Dataset
 from mggp.errors import DegenerateDataError
-from mggp.evolve import Individual
+from mggp.evolve import Engine, EngineConfig, Individual, ModeConfig
 from mggp.exprtree import Const, Fn, Func, Gene, Lcf, LcfWeights, Var
 from mggp.fitness import (
+    LinearModel,
     evaluate,
+    fit_and_score,
     fit_linear,
     lcf_ratio,
     mean_gene_depth,
@@ -165,3 +171,215 @@ class TestMetrics:
             six = Func(Fn.SIN, (six,))
         ind = Individual([Gene(two), Gene(six)], 1)
         assert mean_gene_depth(ind) == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# the lean fit-and-score against the one it replaced
+#
+# ``ref_ols_fit``, ``ref_r_squared`` and ``ref_fit_and_score`` are copies of
+# the earlier implementations: two ``column_stack`` calls, a finiteness check
+# in each of ``fit_and_score`` and ``ols_fit``, ``y.mean()`` and ``np.sum``.
+# On fuzzed designs the lean path must give the same coefficients and R^2,
+# bit for bit, and the same verdict on every invalid or degenerate fit.
+
+
+def ref_ols_fit(G, y):
+    G = np.asarray(G, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if G.ndim != 2:
+        raise ValueError("G must be 2-d (samples x genes)")
+    if not np.isfinite(G).all():
+        raise ValueError("design matrix contains non-finite entries")
+    A = np.column_stack([np.ones(G.shape[0]), G])
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return LinearModel(c0=float(coef[0]), c=coef[1:])
+
+
+def ref_r_squared(y, yhat):
+    y = np.asarray(y, dtype=float)
+    yhat = np.asarray(yhat, dtype=float)
+    if y.shape != yhat.shape or y.ndim != 1 or y.shape[0] < 2:
+        raise ValueError("y and yhat must be equal-length vectors of >= 2 values")
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0:
+        raise DegenerateDataError("target values are constant; R^2 is undefined")
+    ss_res = float(np.sum((y - yhat) ** 2))
+    return 1.0 - ss_res / ss_tot
+
+
+def ref_fit_and_score(columns, y):
+    y = np.asarray(y, dtype=float)
+    G = np.column_stack(columns)
+    if not np.isfinite(G).all():
+        return None, -np.inf
+    model = ref_ols_fit(G, y)
+    if not (np.isfinite(model.c0) and np.isfinite(model.c).all()):
+        return None, -np.inf
+    r2 = ref_r_squared(y, model.predict(G))
+    if not np.isfinite(r2):
+        return None, -np.inf
+    return model, r2
+
+
+def fuzzed_design(rng):
+    """Gene columns and a target: n = 2..1024 rows, 1..10 columns, some of
+    them duplicates, zeros, constants or holding NaN/inf entries, at
+    magnitudes up to 1e+-300; the target is noise, a near-exact combination
+    of the columns, or constant."""
+    n = int(rng.choice([2, 3, 4, int(rng.integers(5, 64)), int(rng.integers(64, 1025))]))
+    k = int(rng.integers(1, 11))
+    scale = 10.0 ** float(rng.choice([0, 0, 0, int(rng.integers(-300, 301))]))
+    columns = []
+    for _ in range(k):
+        kind = rng.integers(8)
+        if kind == 0 and columns:
+            column = columns[int(rng.integers(len(columns)))].copy()
+        elif kind == 1:
+            column = np.zeros(n)
+        elif kind == 2:
+            column = np.full(n, rng.normal() * scale)
+        elif kind == 3:
+            column = rng.integers(-3, 4, size=n).astype(float)
+        else:
+            column = rng.normal(size=n) * scale * 10.0 ** float(rng.integers(-3, 4))
+        columns.append(column)
+    if rng.random() < 0.06:
+        columns[int(rng.integers(k))][int(rng.integers(n))] = rng.choice([np.nan, np.inf, -np.inf])
+    shape = rng.integers(5)
+    if shape == 0:
+        y = np.full(n, rng.normal())
+    elif shape == 1:
+        with np.errstate(all="ignore"):
+            y = 1.5 + sum(rng.normal() * c for c in columns) + 1e-9 * rng.normal(size=n)
+    else:
+        y = rng.normal(size=n) * 10.0 ** float(rng.choice([0, int(rng.integers(-300, 301))]))
+    return columns, y
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+def outcome(fit, columns, y):
+    """What a fit-and-score gives, as bytes: ``None`` and the R^2 of an
+    invalid fit, the raised type of a degenerate one, or c0, c and R^2."""
+    with np.errstate(all="ignore"):
+        try:
+            model, r2 = fit(columns, y)
+        except DegenerateDataError:
+            return "degenerate"
+    assert type(r2) is float
+    if model is None:
+        return None, bits(r2)
+    return bits(model.c0), model.c.tobytes(), bits(r2)
+
+
+def test_fit_and_score_keeps_the_bits_of_the_two_pass_version():
+    rng = np.random.default_rng(2024)
+    verdicts = Counter()
+    for _ in range(5000):
+        columns, y = fuzzed_design(rng)
+        got = outcome(fit_and_score, columns, y)
+        assert got == outcome(ref_fit_and_score, columns, y)
+        if got == "degenerate" or got[0] is not None:
+            verdicts["degenerate" if got == "degenerate" else "valid"] += 1
+        else:
+            finite = np.isfinite(np.column_stack(columns)).all()
+            verdicts["invalid fit" if finite else "invalid columns"] += 1
+    assert len(verdicts) == 4 and min(verdicts.values()) >= 100, verdicts
+
+
+def test_ols_fit_and_r_squared_keep_their_bits():
+    rng = np.random.default_rng(77)
+
+    def score(r2, y, yhat):
+        try:
+            return bits(r2(y, yhat))
+        except DegenerateDataError:  # also when the squares underflow to 0
+            return "degenerate"
+
+    for _ in range(500):
+        columns, y = fuzzed_design(rng)
+        G = np.column_stack(columns)
+        if not np.isfinite(G).all():
+            continue
+        with np.errstate(all="ignore"):
+            model, ref = ols_fit(G, y), ref_ols_fit(G, y)
+            assert (bits(model.c0), model.c.tobytes()) == (bits(ref.c0), ref.c.tobytes())
+            yhat = y + rng.normal(size=len(y)) * rng.choice([0.0, 1e-3, 1.0])
+            assert score(r_squared, y, yhat) == score(ref_r_squared, y, yhat)
+
+
+# ---------------------------------------------------------------------------
+# every fit reaches ols_fit and r_squared through the module, once each
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Counts the calls of ``fitness.ols_fit`` and ``fitness.r_squared``."""
+    calls = Counter()
+    for name in ("ols_fit", "r_squared"):
+        def counted(*args, _name=name, _original=getattr(fitness, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fitness, name, counted)
+    return calls
+
+
+def counting_fits(monkeypatch):
+    """Patches backprop's ``fit_and_score`` to count the valid fits."""
+    fits = Counter()
+
+    def counted(columns, y):
+        model, r2 = fit_and_score(columns, y)
+        fits["valid" if model is not None else "invalid"] += 1
+        return model, r2
+
+    monkeypatch.setattr(bp, "fit_and_score", counted)
+    return fits
+
+
+def test_fit_and_score_calls_ols_fit_and_r_squared_once_per_valid_fit(fit_calls):
+    x = np.linspace(-1.0, 1.0, 20)
+    assert fit_and_score([x, x ** 2], x ** 3)[0] is not None
+    assert fit_calls == {"ols_fit": 1, "r_squared": 1}
+    assert fit_and_score([x, np.full(20, np.inf)], x ** 3) == (None, -np.inf)
+    assert fit_calls == {"ols_fit": 1, "r_squared": 1}  # non-finite columns stop first
+
+
+def test_engine_evaluate_reaches_ols_fit_and_r_squared(fit_calls):
+    mode = ModeConfig.from_codename("baseline")
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-2.0, 2.0, size=(30, 2))
+    engine = Engine(EngineConfig.for_mode(mode), mode,
+                    dataset(X, np.sin(X[:, 0]) + X[:, 1]), rng)
+    ind = Individual([Gene(Func(Fn.SIN, (Var(1),))), Gene(Var(2))], 2)
+    assert engine.evaluate(ind) > 0.99
+    assert fit_calls == {"ols_fit": 1, "r_squared": 1}
+
+
+def lcf_case(weights):
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-2.0, 2.0, size=(30, 2))
+    data = dataset(X, np.tanh(X[:, 0] - 0.5 * X[:, 1]))
+    genes = [Gene(Func(Fn.TANH, (Lcf(1, weights(1)),))), Gene(Lcf(2, weights(2)))]
+    return genes, data
+
+
+def test_tune_reaches_ols_fit_and_r_squared_once_per_valid_fit(monkeypatch, fit_calls):
+    fits = counting_fits(monkeypatch)
+    genes, data = lcf_case(lambda i: LcfWeights.identity(i, 2))
+    bp.tune(Individual(genes, 2), data, bp.StepBudget(8, 8))
+    assert fits["valid"] > 1 and not fits["invalid"]
+    assert fit_calls == {"ols_fit": fits["valid"], "r_squared": fits["valid"]}
+
+
+def test_global_tune_reaches_ols_fit_and_r_squared_once_per_valid_fit(monkeypatch, fit_calls):
+    fits = counting_fits(monkeypatch)
+    table = bp.GlobalWeightTable(2)
+    genes, data = lcf_case(table.lookup)
+    population = [Individual(genes, 2), Individual(genes[:1], 2)]
+    bp.global_tune(population, table, data, steps=3)
+    assert fits["valid"] > 1 and not fits["invalid"]
+    assert fit_calls == {"ols_fit": fits["valid"], "r_squared": fits["valid"]}
