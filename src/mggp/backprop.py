@@ -15,8 +15,8 @@ set accumulate into a single summed entry.
 In the globally synchronised mode clones share ``Gene`` objects.  A descent
 step handles a gene that several members hold gene-major: it is traced and
 its local derivatives computed once, then swept once per holder from that
-holder's own adjoint.  Each sweep records its leaves' partials, and these
-are replayed into the holder's table in gene and leaf order, so every
+holder's own adjoint.  Every sweep records its leaves' partials in a sink,
+and a table adds them in gene and leaf order when it is replayed, so every
 floating-point operation, and its order, is that of one trace per member.
 One shared gene's slots and derivatives are live at a time, and a holder
 keeps one residual vector until the gene-major sweeps are done.
@@ -88,20 +88,17 @@ class EvalTrace:
         return [self.slots[gene][-1] for gene in individual.genes]
 
 
-def forward_trace(individual, X) -> EvalTrace:
+def forward_trace(individual, X, shared=frozenset(), epoch: int = 0) -> EvalTrace:
     """Evaluate all genes, recording per-slot outputs.
 
     Root values are identical to :func:`mggp.exprtree.eval_batch` on the
     same trees.  A gene without LCF leaves records only its root, read
     through the cache of :meth:`Gene.output`: its value never changes and
-    the backward pass never enters it.
+    the backward pass never enters it.  So does a gene in ``shared``, read
+    at the G-mode table ``epoch``; its sweeps are left to the caller (see
+    :func:`backward`'s ``held``).
     """
-    return _trace(individual, np.asarray(X, dtype=float))
-
-
-def _trace(individual, X: np.ndarray, shared=frozenset(), epoch: int = 0) -> EvalTrace:
-    """:func:`forward_trace`, recording only the root of the genes in
-    ``shared`` too, read through the output cache at ``epoch``."""
+    X = np.asarray(X, dtype=float)
     trace = EvalTrace(X)
     with np.errstate(all="ignore"):
         for gene in individual.genes:
@@ -171,16 +168,19 @@ class GradientTable:
 
     Entries are ``[d_a, d_b]`` with ``d_b`` a length-d vector.  The table
     contains every weight set reachable from the individual (entries stay
-    zero for genes with a zero top-level coefficient).
+    zero for genes with a zero top-level coefficient).  ``sinks`` hold the
+    ``(weights, d_a, d_b)`` partials of one sweep each, in gene order, until
+    :meth:`replay` adds them to the entries.
     """
 
-    __slots__ = ("entries", "valid")
+    __slots__ = ("entries", "valid", "sinks")
 
     def __init__(self, weight_sets) -> None:
         self.entries: dict[LcfWeights, list] = {
             w: [0.0, np.zeros(w.dim)] for w in weight_sets
         }
         self.valid = True
+        self.sinks: list[list] = []
 
     def check_finite(self) -> bool:
         for d_a, d_b in self.entries.values():
@@ -189,8 +189,18 @@ class GradientTable:
                 break
         return self.valid
 
+    def replay(self) -> bool:
+        """Add the sinks' partials in gene and leaf order, empty the sinks
+        and return :meth:`check_finite`."""
+        with np.errstate(all="ignore"):
+            for sink in self.sinks:
+                for partial in sink:
+                    _add(self.entries, *partial)
+        self.sinks = []
+        return self.check_finite()
 
-def backward(individual, trace: EvalTrace, y, top_model) -> GradientTable:
+
+def backward(individual, trace: EvalTrace, y, top_model, held=None) -> GradientTable:
     """Gradient of ``sum((yhat - y)^2)`` w.r.t. every LCF weight.
 
     ``top_model`` supplies the coefficients ``c0, c``, held fixed here; the
@@ -198,6 +208,12 @@ def backward(individual, trace: EvalTrace, y, top_model) -> GradientTable:
     genes with a zero coefficient contribute nothing.  Leaves sharing a
     weight set accumulate into one summed entry, which realises the
     index-group summation of the synchronised modes.
+
+    Each gene is swept into a sink of its own.  A gene that is a key of
+    ``held`` is not swept here: ``(residual2, c, sink)`` is appended to
+    ``held[gene]`` for the caller to sweep (:func:`_sweep_shared`), and the
+    caller replays the table once the sinks are full.  Without ``held`` the
+    table is replayed before it is returned.
     """
     y = np.asarray(y, dtype=float)
     table = GradientTable(individual.weight_sets())
@@ -206,8 +222,14 @@ def backward(individual, trace: EvalTrace, y, top_model) -> GradientTable:
         for c, gene in zip(top_model.c, individual.genes):
             if c == 0.0 or not gene.has_lcf:
                 continue
-            _sweep(gene, trace.slots[gene], residual2 * c, trace.X, table.entries)
-    table.check_finite()
+            sink = []
+            table.sinks.append(sink)
+            if held is not None and gene in held:
+                held[gene].append((residual2, c, sink))
+            else:
+                _sweep(gene, trace.slots[gene], residual2 * c, trace.X, sink)
+    if held is None:
+        table.replay()
     return table
 
 
@@ -223,16 +245,15 @@ def _add(entries: dict, w: LcfWeights, d_a: float, d_b: np.ndarray) -> None:
     entry[1] += d_b
 
 
-def _sweep(gene, values: list, adjoint: np.ndarray, X: np.ndarray, entries: dict | None,
-           sink: list | None = None, derivatives: dict | None = None) -> None:
+def _sweep(gene, values: list, adjoint: np.ndarray, X: np.ndarray, sink: list,
+           derivatives: dict | None = None) -> None:
     """Reverse sweep over one gene's tape from the root ``adjoint``.
 
     Adjoints flow only into slots whose subtree holds an LCF leaf; the LCF
-    leaves then add their partials to ``entries`` in left-to-right order,
-    or append them to ``sink`` as ``(weights, d_a, d_b)``.  Sweeps of one
-    gene over the same ``values`` may share a ``derivatives`` dict, which
-    keeps each operator slot's local derivatives after the first sweep
-    computes them.
+    leaves then append their partials to ``sink`` as ``(weights, d_a,
+    d_b)`` in left-to-right order.  Sweeps of one gene over the same
+    ``values`` may share a ``derivatives`` dict, which keeps each operator
+    slot's local derivatives after the first sweep computes them.
     """
     program = gene.program
     adjoints = [None] * len(values)
@@ -262,10 +283,7 @@ def _sweep(gene, values: list, adjoint: np.ndarray, X: np.ndarray, entries: dict
             adjoints[b] = g * local[1]
     for node, g in zip(gene.nodes, adjoints):
         if g is not None and isinstance(node, Lcf):
-            if sink is None:
-                _add(entries, node.weights, float(g.sum()), X.T @ g)
-            else:
-                sink.append((node.weights, float(g.sum()), X.T @ g))
+            sink.append((node.weights, float(g.sum()), X.T @ g))
 
 
 def irprop_minus_step(grads: GradientTable, params: RpropParams = RpropParams()) -> None:
@@ -302,7 +320,7 @@ def irprop_minus_step(grads: GradientTable, params: RpropParams = RpropParams())
 
 
 def _descend(population, weight_sets, train, steps: int, moved, on_fit=None,
-             epoch=None) -> bool:
+             epoch=lambda: 0) -> bool:
     """Up to ``steps`` iRprop- updates of ``weight_sets`` on the loss summed
     over ``population``, the one tuning loop of every mode.
 
@@ -313,62 +331,34 @@ def _descend(population, weight_sets, train, steps: int, moved, on_fit=None,
     descent; otherwise one update is made and ``moved()`` is called.
     Returns True when every step updated, leaving the last weights unscored.
 
-    A member that holds no shared gene is traced, fit and swept on its own.
-    A holder is fit on its shared genes' roots from their output caches at
-    ``epoch()``, the table epoch that ``moved()`` bumps, and its sweeps of
-    shared genes wait until every member is fit; then each shared gene is
-    traced and swept for all its holders (:func:`_sweep_shared`), and the
-    holder's table is rebuilt from the recorded partials before the tables
-    are summed.
+    A gene that several members hold is read from its output cache at
+    ``epoch()``, the table epoch that ``moved()`` bumps, when a holder is
+    traced, and its sweeps wait until every member is fit; then it is
+    traced and swept for all its holders (:func:`_sweep_shared`), and each
+    table is replayed before the tables are summed.
     """
     X, y = train.X, train.y
     tuned = [individual for individual in population if individual.has_lcf()]
     shared = _shared_genes(tuned)
     for _ in range(steps):
         grads = []  # the fit members' tables, in population order
-        held = {}  # shared gene -> (residual2, c, sink) per holder position
-        replays = []  # (holder's table, its sinks in gene order)
+        held = {gene: [] for gene in shared}  # (residual2, c, sink) per holder position
         for individual in tuned:
-            holds = not shared.isdisjoint(individual.genes)
-            if holds:
-                trace = _trace(individual, X, shared, epoch())
-            else:
-                trace = forward_trace(individual, X)
+            trace = forward_trace(individual, X, shared, epoch())
             model, r2 = fit_and_score(trace.roots(individual), y)
             if model is None:
                 continue
             if on_fit is not None:
                 on_fit(r2)
-            if not holds:
-                grads.append(backward(individual, trace, y, model))
-                continue
-            table = GradientTable(individual.weight_sets())
-            sinks = []
-            with np.errstate(all="ignore"):
-                residual2 = _residual2(trace.roots(individual), y, model)
-                for c, gene in zip(model.c, individual.genes):
-                    if c == 0.0 or not gene.has_lcf:
-                        continue
-                    sinks.append([])
-                    if gene in shared:
-                        held.setdefault(gene, []).append((residual2, c, sinks[-1]))
-                    else:
-                        _sweep(gene, trace.slots[gene], residual2 * c, X, None, sinks[-1])
-            grads.append(table)
-            replays.append((table, sinks))
+            grads.append(backward(individual, trace, y, model, held))
         for gene, positions in held.items():
-            _sweep_shared(gene, positions, X)
-        for table, sinks in replays:
-            with np.errstate(all="ignore"):
-                for sink in sinks:
-                    for partial in sink:
-                        _add(table.entries, *partial)
-            table.check_finite()
+            if positions:
+                _sweep_shared(gene, positions, X)
         total = GradientTable(weight_sets)
         any_valid = False
         with np.errstate(over="ignore"):  # an overflow to inf stops the descent below
             for table in grads:
-                if table.valid:
+                if table.replay():
                     for w, (d_a, d_b) in table.entries.items():
                         _add(total.entries, w, d_a, d_b)
                     any_valid = True
@@ -379,10 +369,12 @@ def _descend(population, weight_sets, train, steps: int, moved, on_fit=None,
     return True
 
 
-def _shared_genes(population) -> set:
-    """The LCF genes that more than one member of ``population`` holds."""
-    holders = Counter(gene for ind in population for gene in set(ind.genes) if gene.has_lcf)
-    return {gene for gene, n in holders.items() if n > 1}
+def _shared_genes(population) -> dict:
+    """The LCF genes that more than one member of ``population`` holds, as
+    the keys of a dict, in the order they are first held."""
+    holders = Counter(gene for ind in population for gene in dict.fromkeys(ind.genes)
+                      if gene.has_lcf)
+    return dict.fromkeys(gene for gene, n in holders.items() if n > 1)
 
 
 def _sweep_shared(gene, positions, X: np.ndarray) -> None:
@@ -393,7 +385,7 @@ def _sweep_shared(gene, positions, X: np.ndarray) -> None:
     with np.errstate(all="ignore"):
         values = run_tape(gene, X)
         for residual2, c, sink in positions:
-            _sweep(gene, values, residual2 * c, X, None, sink, derivatives)
+            _sweep(gene, values, residual2 * c, X, sink, derivatives)
 
 
 def tune(individual, train, budget: StepBudget = StepBudget()):

@@ -161,8 +161,9 @@ def split(data: Dataset, ratio: float, rng) -> tuple[Dataset, Dataset]:
 def load_csv(path, target=-1, header: bool = False, name: str | None = None,
              role: str = "train") -> Dataset:
     """Load a numeric CSV; ``target`` is a column name (requires a header)
-    or a 0-based index (negative allowed).  Non-numeric, missing or
-    non-finite cells raise :class:`DataError` naming row and column."""
+    or a 0-based index (negative allowed).  Empty lines are skipped, so the
+    header is the first non-empty row.  Non-numeric, missing or non-finite
+    cells raise :class:`DataError` naming row and column."""
     rows: list[list[float]] = []
     columns: list[str] | None = None
     with open(path, newline="") as fh:
@@ -170,7 +171,7 @@ def load_csv(path, target=-1, header: bool = False, name: str | None = None,
         for r, raw in enumerate(reader):
             if not raw:
                 continue
-            if r == 0 and header:
+            if header and columns is None:
                 columns = [cell.strip() for cell in raw]
                 continue
             parsed = []

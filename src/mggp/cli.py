@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import Dataset, GENERATORS, generate, load_csv, save_csv, split
+from .bench import GENERATORS, generate, load_csv, save_csv, split
 from .errors import DataError, MggpError
 from .evolve import EngineConfig, ModeConfig, RunBudget, run as run_engine
 from .stats import compare_vs_baseline, mann_whitney_u, bonferroni, summarize
@@ -115,11 +115,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
+    name = args.dataset.lower()
+    train, test = generate(name, np.random.default_rng(args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    name = args.dataset.lower()
-    rng = np.random.default_rng(args.seed)
-    train, test = generate(name, rng)
     train_path = out / f"{name}_train.csv"
     test_path = out / f"{name}_test.csv"
     save_csv(train, train_path)
@@ -155,18 +154,20 @@ def _dataset_name(args) -> str:
     return name.lower() if name.lower() in GENERATORS else Path(name).stem
 
 
-def _dataset_for_run(args, seed: int, run_index: int) -> tuple[Dataset, Dataset]:
+def _dataset_source(args):
+    """The ``(seed, run_index) -> (train, test)`` function of ``--dataset``.
+    A generator resamples from the run's seed.  A CSV file is loaded here,
+    once, and split per run from ``--split-seed`` plus the run index."""
     name = args.dataset
     if name.lower() in GENERATORS:
-        rng = np.random.default_rng(seed)
-        return generate(name.lower(), rng)
+        return lambda seed, run_index: generate(name, np.random.default_rng(seed))
     path = Path(name)
     if not path.exists():
         raise DataError(f"dataset {name!r} is neither a generator nor a file")
     data = load_csv(path, target=_resolve_target(args.target_col),
                     header=args.header, name=path.stem, role="full")
-    rng = np.random.default_rng(args.split_seed + run_index)
-    return split(data, args.split_ratio, rng)
+    return lambda seed, run_index: split(
+        data, args.split_ratio, np.random.default_rng(args.split_seed + run_index))
 
 
 def _recorded_runs(path: Path) -> set:
@@ -197,46 +198,50 @@ def _cmd_run(args) -> int:
         raise DataError("--generations must be positive")
     if args.seconds is not None and args.seconds <= 0:
         raise DataError("--seconds must be positive")
+    if not 0.0 < args.split_ratio < 1.0:
+        raise DataError("--split-ratio must be strictly between 0 and 1")
     budget = RunBudget(max_generations=args.generations, max_seconds=args.seconds)
+    dataset_for_run = _dataset_source(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     records_path = out / RECORDS_NAME
     recorded = _recorded_runs(records_path)
     ds_name = _dataset_name(args)
     written = 0
-    with open(records_path, "a") as sink:
-        for mode in modes:
-            cfg = EngineConfig.for_mode(mode)
-            for i in range(args.runs):
-                seed = args.seed + i
-                if (mode.codename, ds_name, seed) in recorded:
-                    print(f"{mode.codename} seed={seed} {ds_name}: already recorded, skipped")
-                    continue
-                train, test = _dataset_for_run(args, seed, i)
-                started = time.perf_counter()
-                result = run_engine(cfg, mode, train, test, budget, seed)
-                record = RunRecord(
-                    codename=mode.codename,
-                    seed=seed,
-                    dataset=ds_name,
-                    dim=train.dim,
-                    train_r2=result.train_r2,
-                    test_r2=result.test_r2,
-                    lcf_ratio=result.lcf_ratio,
-                    mean_depth=result.mean_depth,
-                    generations=result.generations,
-                    wall_time_s=time.perf_counter() - started,
-                    history=[list(h) for h in result.history],
-                    best_genes=result.best_genes,
-                    best_coeffs=_best_coeffs(result),
-                )
+    for mode in modes:
+        cfg = EngineConfig.for_mode(mode)
+        for i in range(args.runs):
+            seed = args.seed + i
+            if (mode.codename, ds_name, seed) in recorded:
+                print(f"{mode.codename} seed={seed} {ds_name}: already recorded, skipped")
+                continue
+            train, test = dataset_for_run(seed, i)
+            started = time.perf_counter()
+            result = run_engine(cfg, mode, train, test, budget, seed)
+            record = RunRecord(
+                codename=mode.codename,
+                seed=seed,
+                dataset=ds_name,
+                dim=train.dim,
+                train_r2=result.train_r2,
+                test_r2=result.test_r2,
+                lcf_ratio=result.lcf_ratio,
+                mean_depth=result.mean_depth,
+                generations=result.generations,
+                wall_time_s=time.perf_counter() - started,
+                history=[list(h) for h in result.history],
+                best_genes=result.best_genes,
+                best_coeffs=_best_coeffs(result),
+            )
+            # created with the first record, so a run that fails first leaves nothing;
+            # appended and closed per record, so completed runs survive a crash
+            out.mkdir(parents=True, exist_ok=True)
+            with open(records_path, "a") as sink:
                 sink.write(record.to_json() + "\n")
-                sink.flush()  # crash-safe: completed runs survive
-                written += 1
-                print(
-                    f"{mode.codename} seed={seed} {ds_name}: "
-                    f"train R2={result.train_r2:.6f} test R2={result.test_r2:.6f}"
-                )
+            written += 1
+            print(
+                f"{mode.codename} seed={seed} {ds_name}: "
+                f"train R2={result.train_r2:.6f} test R2={result.test_r2:.6f}"
+            )
     print(f"wrote {written} records to {records_path}")
     return 0
 

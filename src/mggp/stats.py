@@ -96,8 +96,9 @@ def mann_whitney_u(a, b, alpha: float = 0.05, method: str = "auto") -> Compariso
     Uses the exact null distribution when the pooled size is below 20 and the
     corrected normal approximation otherwise (``method`` can force either).
     The reported U statistic belongs to ``a``; the verdict compares medians
-    once ``p <= alpha``.
+    once ``p <= alpha``, a significance level strictly between 0 and 1.
     """
+    _check_alpha(alpha)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n, m = len(a), len(b)
@@ -126,9 +127,16 @@ def mann_whitney_u(a, b, alpha: float = 0.05, method: str = "auto") -> Compariso
 
 def bonferroni(alpha: float = 0.05, m: int = 1) -> float:
     """Family-wise adjusted significance threshold, ``alpha / m``."""
+    _check_alpha(alpha)
     if m < 1:
         raise ValueError("m must be >= 1")
     return alpha / m
+
+
+def _check_alpha(alpha: float) -> None:
+    # outside (0, 1) every p, or none, would be significant
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"significance level alpha={alpha} must be strictly between 0 and 1")
 
 
 def compare_vs_baseline(cfg_runs, base_runs, alpha: float = 0.05, m: int = 1) -> ComparisonResult:

@@ -170,6 +170,29 @@ class TestBackward:
         assert da == pytest.approx(da1 + da2, rel=1e-12)
         assert np.allclose(db, db1 + db2, rtol=1e-12)
 
+    def test_held_genes_are_swept_by_the_caller_and_replayed_bit_for_bit(self):
+        w1, w2 = LcfWeights(0.3, [0.7, -0.2]), LcfWeights(-0.1, [0.4, 0.9])
+        held_gene = Gene(Func(Fn.MUL, (Lcf(1, w1), Func(Fn.SIN, (Lcf(2, w2),)))))
+        own = Gene(Func(Fn.TANH, (Func(Fn.ADD, (Lcf(2, w2), Var(1))),)))
+        ind = Individual([own, held_gene, own], 2)
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-2, 2, size=(12, 2))
+        y = rng.uniform(-1, 1, size=12)
+        model = LinearModel(c0=0.1, c=np.array([0.5, -0.4, 1.5]))
+        direct = backward(ind, forward_trace(ind, X), y, model)
+        assert direct.sinks == []
+        held = {held_gene: []}
+        deferred = backward(ind, forward_trace(ind, X, held), y, model, held)
+        assert len(held[held_gene]) == 1 and held[held_gene][0][2] == []
+        assert [len(sink) for sink in deferred.sinks] == [1, 0, 1]
+        assert all(d_a == 0.0 for d_a, _ in deferred.entries.values())
+        bp._sweep_shared(held_gene, held[held_gene], X)
+        assert [len(sink) for sink in deferred.sinks] == [1, 2, 1]
+        assert deferred.replay() and deferred.sinks == []
+        for w in (w1, w2):
+            assert direct.entries[w][0] == deferred.entries[w][0]
+            assert direct.entries[w][1].tobytes() == deferred.entries[w][1].tobytes()
+
     def test_nonfinite_gradient_flags_invalid(self):
         w = LcfWeights(1e308, [1e308])
         ind = Individual([Gene(Func(Fn.POW3, (Lcf(1, w),)))], 1)
@@ -348,7 +371,7 @@ class TestGlobalTune:
             )
         sign = {id(inds[0]): 1.0, id(inds[1]): -1.0}
 
-        def crafted_backward(individual, trace, y, model):
+        def crafted_backward(individual, trace, y, model, held=None):
             t = GradientTable(individual.weight_sets())
             s = sign[id(individual)]
             for w in t.entries:

@@ -169,6 +169,13 @@ class TestCsv:
         with pytest.raises(DataError):
             load_csv(p, target="zz", header=True)
 
+    def test_header_is_the_first_non_empty_row(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("\n\nx1,target\n\n1.0,2.0\n3.0,4.0\n")
+        data = load_csv(p, target="target", header=True)
+        assert np.array_equal(data.X, [[1.0], [3.0]])
+        assert np.array_equal(data.y, [2.0, 4.0])
+
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("1.0,2.0\n3.0\n")

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mggp.bench import generate
+import mggp.cli as cli
+from mggp.bench import generate, load_csv, split
 from mggp.cli import RunRecord, load_records, main
 from mggp.exprtree import eval_batch, parse_tree
 from mggp.fitness import ols_fit
@@ -40,9 +41,11 @@ class TestGen:
         assert (a / "s2d_test.csv").read_bytes() == (b / "s2d_test.csv").read_bytes()
 
     def test_unknown_generator_is_usage_error(self, tmp_path, capsys):
-        code = main(["gen", "wat", "--out", str(tmp_path)])
+        out = tmp_path / "g1"
+        code = main(["gen", "wat", "--out", str(out)])
         assert code == 2  # unknown dataset name is a data error
         assert "unknown generator" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def run_small(tmp_path, *, configs=("baseline",), seed=7, runs=1, generations=2,
@@ -115,6 +118,52 @@ class TestRun:
             "--generations", "1", "--out", str(tmp_path),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("dataset, flags, message", [
+        ("nosuch.csv", [], "neither a generator nor a file"),
+        ("t.csv", ["--split-ratio", "1.5"], "--split-ratio"),
+        ("t.csv", ["--split-ratio", "0"], "--split-ratio"),
+        ("s2d", ["--split-ratio", "-1"], "--split-ratio"),
+        ("t.csv", ["--target-col", "foo"], "non-numeric value 'x1'"),
+        ("t.csv", ["--header", "--target-col", "foo"], "not in header"),
+    ])
+    def test_bad_input_is_a_data_error_and_creates_nothing(self, tmp_path, capsys, dataset,
+                                                           flags, message):
+        (tmp_path / "t.csv").write_text("x1,target\n" + "".join(
+            f"{k},{k * k % 7}\n" for k in range(20)))
+        out = tmp_path / "records"
+        code = main(["run", "--dataset", str(tmp_path / dataset) if "." in dataset else dataset,
+                     "--runs", "2", "--generations", "1", "--out", str(out), *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_csv_is_loaded_once_and_split_per_run(self, tmp_path, monkeypatch):
+        main(["gen", "s2d", "--seed", "2", "--out", str(tmp_path / "data")])
+        csv = tmp_path / "data" / "s2d_train.csv"
+        loads, splits = [], []
+        run_engine = cli.run_engine
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return load_csv(*args, **kwargs)
+
+        def recording_engine(cfg, mode, train, test, budget, seed):
+            splits.append((train, test))
+            return run_engine(cfg, mode, train, test, budget, seed)
+
+        monkeypatch.setattr(cli, "load_csv", counting_load)
+        monkeypatch.setattr(cli, "run_engine", recording_engine)
+        assert main(["run", "--dataset", str(csv), "--header", "--config", "baseline",
+                     "--config", "UB", "--runs", "3", "--generations", "1", "--split-seed", "4",
+                     "--split-ratio", "0.6", "--out", str(tmp_path / "records")]) == 0
+        assert len(loads) == 1
+        data = load_csv(csv, header=True, name="s2d_train", role="full")
+        expected = [split(data, 0.6, np.random.default_rng(4 + i)) for i in range(3)] * 2
+        assert len(splits) == len(expected)
+        for got, want in zip(splits, expected):
+            for a, b in zip(got, want):
+                assert a.X.tobytes() == b.X.tobytes() and a.y.tobytes() == b.y.tobytes()
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_no_runs_is_a_data_error_and_creates_nothing(self, tmp_path, capsys, runs):
@@ -289,6 +338,16 @@ class TestCompare:
         assert main([
             "compare", str(path), "--config-a", "SB", "--config-b", "baseline",
         ]) == 2
+
+    def test_a_significance_level_outside_zero_one_is_a_usage_error(self, tmp_path, capsys):
+        path = run_small(tmp_path, configs=("baseline", "UB"), runs=2)
+        capsys.readouterr()
+        for command, flags in [("compare", ["--config-a", "UB", "--config-b", "baseline"]),
+                               ("report", [])]:
+            for alpha in ("2", "7", "1", "0", "-0.05"):
+                assert main([command, str(path), *flags, "--alpha", alpha]) == 1
+                captured = capsys.readouterr()
+                assert "alpha" in captured.err and captured.out == ""
 
 
 class TestUsage:

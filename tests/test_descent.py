@@ -353,13 +353,85 @@ def test_global_tune_matches_when_a_member_fails(monkeypatch, hook, poison):
 
 
 def test_global_tune_matches_when_a_member_holding_shared_genes_fails(monkeypatch):
-    # a member that holds a shared gene is never swept by ``backward``, so
-    # non-finite gradients reach it through the overflow-prone genes instead
-    for seed in (0, 1, 3, 4, 6, 7):
-        for k in range(8):
-            global_both(seed, rounds=1, case=shared_population_case,
-                        wrap=lambda run: failing_on_call(monkeypatch, "fit_and_score", k,
-                                                         no_fit, run))
+    for hook, poison in [("fit_and_score", no_fit), ("backward", nan_gradient)]:
+        for seed in (0, 1, 3, 4, 6, 7):
+            for k in range(8):
+                global_both(seed, rounds=1, case=shared_population_case,
+                            wrap=lambda run: failing_on_call(monkeypatch, hook, k, poison, run))
+
+
+def descent_log(monkeypatch, run):
+    """The calls ``run()`` makes of the gradient module's functions, in
+    order: ``("trace", individual)``, ``("fit", finite)``, ``("backward",
+    individual)`` and ``("update",)``."""
+    log = []
+
+    def spy(name, record):
+        original = getattr(bp, name)
+
+        def patched(*args):
+            out = original(*args)
+            log.append(record(args, out))
+            return out
+        patch.setattr(bp, name, patched)
+
+    with monkeypatch.context() as patch:
+        spy("forward_trace", lambda args, out: ("trace", args[0]))
+        spy("fit_and_score", lambda args, out: ("fit", out[0] is not None))
+        spy("backward", lambda args, out: ("backward", args[0]))
+        spy("irprop_minus_step", lambda args, out: ("update",))
+        run()
+    return log
+
+
+def descent_steps(log, tuned, steps):
+    """Check that each of at most ``steps`` descent steps in ``log`` traces
+    and fits every tuned member in order, sweeps each one whose fit is
+    finite right after its fit, and ends in at most one update, the last
+    step in none unless all ``steps`` updated.  Returns the number of
+    steps, the members swept, and the calls after the descent."""
+    at, done, swept = 0, 0, []
+    while done < steps:
+        for individual in tuned:
+            assert log[at][0] == "trace" and log[at][1] is individual
+            assert log[at + 1][0] == "fit"
+            at += 2
+            if log[at - 1][1]:
+                assert log[at][0] == "backward" and log[at][1] is individual
+                swept.append(individual)
+                at += 1
+        done += 1
+        if log[at:at + 1] != [("update",)]:
+            break
+        at += 1
+    return done, swept, log[at:]
+
+
+def test_every_tuned_member_is_traced_and_swept_through_the_public_functions(monkeypatch):
+    seen = set()
+    for seed in range(12):
+        for mode in ("U", "S"):
+            ind, train, budget = individual_case(seed, mode)
+            steps = budget.steps_for(ind.total_nodes())
+            log = descent_log(monkeypatch, lambda: tune(ind, train, budget))
+            if not ind.has_lcf():
+                assert log == []
+                continue
+            done, swept, rest = descent_steps(log, [ind], steps)
+            updates = log.count(("update",))
+            assert updates in (done, done - 1)
+            # every step updated: the last weights are traced and scored after the descent
+            assert [call[0] for call in rest] == (["trace", "fit"] if updates == steps else [])
+            seen.add(mode)
+        population, table, train, steps = shared_population_case(seed)
+        tuned = [ind for ind in population if ind.has_lcf()]
+        log = descent_log(monkeypatch, lambda: global_tune(population, table, train, steps))
+        done, swept, rest = descent_steps(log, tuned, steps)
+        assert rest == [] and table.epoch == log.count(("update",)) in (done, done - 1)
+        counts = holder_counts(population)
+        if any(counts.get(gene, 0) > 1 for ind in swept for gene in ind.genes):
+            seen.add("G holder swept")
+    assert seen == {"U", "S", "G holder swept"}
 
 
 def test_global_tune_stops_quietly_when_the_sum_overflows():

@@ -108,6 +108,11 @@ class TestMannWhitney:
         with pytest.raises(ValueError):
             mann_whitney_u([], [1.0])
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, float("nan")])
+    def test_significance_level_outside_zero_one_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            mann_whitney_u([1.0, 2.0], [3.0, 4.0], alpha=alpha)
+
 
 class TestBonferroni:
     def test_eleven_comparisons(self):
@@ -123,6 +128,11 @@ class TestBonferroni:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             bonferroni(0.05, 0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 7.0, -0.05, float("nan")])
+    def test_significance_level_outside_zero_one_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            bonferroni(alpha, 3)
 
 
 class TestCompareVsBaseline:
