@@ -199,7 +199,9 @@ def load_csv(path, target=-1, header: bool = False, name: str | None = None,
             raise DataError(f"target column {target!r} not in header {columns}")
         t = columns.index(target)
     else:
-        t = int(target) % n_cols
+        t = int(target)
+        if not -n_cols <= t < n_cols:
+            raise DataError(f"{path}: target column {t} out of range for {n_cols} columns")
     mask = np.ones(n_cols, dtype=bool)
     mask[t] = False
     return Dataset(

@@ -237,6 +237,7 @@ def _cmd_run(args) -> int:
             out.mkdir(parents=True, exist_ok=True)
             with open(records_path, "a") as sink:
                 sink.write(record.to_json() + "\n")
+            recorded.add((mode.codename, ds_name, seed))  # a repeated --config runs once
             written += 1
             print(
                 f"{mode.codename} seed={seed} {ds_name}: "

@@ -20,6 +20,7 @@ tuned each generation.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -201,10 +202,6 @@ class Individual:
                 gene.forget()
         self._fit_key = None
 
-    def reset_tuning_state(self) -> None:
-        for w in self.weight_sets():
-            w.reset_tuning_state()
-
     def __repr__(self) -> str:
         return f"Individual({len(self.genes)} genes, {self.total_nodes()} nodes)"
 
@@ -281,21 +278,25 @@ class Engine:
 
     # -- structure handling -------------------------------------------
 
-    def _clone_gene(self, gene: Gene, weight_map: dict | None) -> Gene:
-        if not gene.has_lcf or (self.mode.mode == "G" and weight_map is None):
-            return gene  # immutable, no private weights: safe to share
-        return Gene(copy_tree(gene.root, weight_map))
+    def clone_individual(self, ind: Individual, detach: bool = False,
+                         fresh: bool = False) -> Individual:
+        """Copy an individual; the one place that decides who owns the
+        copy's LCF weights.
 
-    def clone_individual(self, ind: Individual, detach: bool = False) -> Individual:
-        """Copy an individual.  In U/S modes LCF-bearing genes get fresh
-        weight objects (sharing topology preserved, tuning state copied);
-        in G mode genes keep referencing the global table unless
-        ``detach`` forces private copies (used for best-so-far snapshots).
+        In G mode genes keep referencing the global table unless ``detach``
+        forces private copies (used for best-so-far snapshots).  Otherwise
+        every LCF gene is copied: in U mode each leaf gets a set of its own,
+        in S mode (and a detached G copy) each old set becomes one new set,
+        so index groups stay shared.  The copies keep the iRprop state, or
+        start without it when ``fresh``.  Genes without LCF leaves are
+        immutable and stay shared.
         """
         if self.mode.mode == "G" and not detach:
             return Individual(list(ind.genes), ind.dim)
-        weight_map: dict = {}
-        genes = [self._clone_gene(g, weight_map) for g in ind.genes]
+        copy_weights = (lambda w: LcfWeights(w.a, w.b)) if fresh else LcfWeights.copy
+        if self.mode.mode != "U":
+            copy_weights = functools.cache(copy_weights)  # sets hash by identity
+        genes = [Gene(copy_tree(g.root, copy_weights)) if g.has_lcf else g for g in ind.genes]
         return Individual(genes, ind.dim)
 
     # -- selection -----------------------------------------------------
@@ -334,9 +335,6 @@ class Engine:
         move2 = [g for g, s in zip(p2.genes, sel2) if s]
         o1 = self._assemble_offspring(own1, move2, p1)
         o2 = self._assemble_offspring(own2, move1, p2)
-        if self.mode.mode != "G":
-            o1.reset_tuning_state()
-            o2.reset_tuning_state()
         return o1, o2
 
     def _assemble_offspring(self, own: list[Gene], incoming: list[Gene],
@@ -348,50 +346,39 @@ class Engine:
         genes = own + incoming
         if not genes:
             genes = [origin.genes[int(self.rng.integers(len(origin.genes)))]]
-        wmap = None if self.mode.mode == "G" else {}
-        return Individual([self._clone_gene(g, wmap) for g in genes], origin.dim)
+        return self.clone_individual(Individual(genes, origin.dim), fresh=True)
 
     def low_level_xover(self, p1: Individual, p2: Individual) -> tuple[Individual, Individual]:
         """Koza subtree swap between one uniformly chosen gene of each
         parent; an offspring whose new gene would break the depth or size
         limit reverts to its parent."""
-        o1 = self.clone_individual(p1)
-        o2 = self.clone_individual(p2)
-        i1 = int(self.rng.integers(len(o1.genes)))
-        i2 = int(self.rng.integers(len(o2.genes)))
-        root1, root2 = o1.genes[i1].root, o2.genes[i2].root
+        i1 = int(self.rng.integers(len(p1.genes)))
+        i2 = int(self.rng.integers(len(p2.genes)))
+        root1, root2 = p1.genes[i1].root, p2.genes[i2].root
         path1 = pick_node(self.rng, root1)
         path2 = pick_node(self.rng, root2)
-        sub1 = node_at(root1, path1)
-        sub2 = node_at(root2, path2)
-        wmap = None if self.mode.mode == "G" else {}
-        new1 = Gene(replace_subtree(root1, path1, copy_tree(sub2, wmap)))
-        wmap = None if self.mode.mode == "G" else {}
-        new2 = Gene(replace_subtree(root2, path2, copy_tree(sub1, wmap)))
-        if new1.depth <= self.cfg.d_max and new1.node_count <= self.cfg.n_max:
-            o1.genes[i1] = new1
-        if new2.depth <= self.cfg.d_max and new2.node_count <= self.cfg.n_max:
-            o2.genes[i2] = new2
-        if self.mode.mode != "G":
-            o1.reset_tuning_state()
-            o2.reset_tuning_state()
+        o1 = self._graft(p1, i1, path1, node_at(root2, path2))
+        o2 = self._graft(p2, i2, path2, node_at(root1, path1))
         return o1, o2
+
+    def _graft(self, parent: Individual, gi: int, path: tuple[int, ...],
+               sub) -> Individual:
+        """A fresh copy of ``parent`` whose gene ``gi`` holds ``sub`` at
+        ``path``, or of ``parent`` unchanged when the new gene would break the
+        depth or size limit."""
+        genes = list(parent.genes)
+        gene = Gene(replace_subtree(genes[gi].root, path, sub))
+        if gene.depth <= self.cfg.d_max and gene.node_count <= self.cfg.n_max:
+            genes[gi] = gene
+        return self.clone_individual(Individual(genes, parent.dim), fresh=True)
 
     def subtree_mutation(self, ind: Individual) -> Individual:
         """Replace a uniformly chosen node of a uniformly chosen gene by a
         grown random tree that keeps the gene within the depth limit."""
-        o = self.clone_individual(ind)
-        gi = int(self.rng.integers(len(o.genes)))
-        root = o.genes[gi].root
-        path = pick_node(self.rng, root)
-        depth_budget = self.cfg.d_max - len(path)
-        sub = random_tree(self.rng, depth_budget, "grow", self.terminals)
-        new_gene = Gene(replace_subtree(root, path, sub))
-        if new_gene.node_count <= self.cfg.n_max:
-            o.genes[gi] = new_gene
-        if self.mode.mode != "G":
-            o.reset_tuning_state()
-        return o
+        gi = int(self.rng.integers(len(ind.genes)))
+        path = pick_node(self.rng, ind.genes[gi].root)
+        sub = random_tree(self.rng, self.cfg.d_max - len(path), "grow", self.terminals)
+        return self._graft(ind, gi, path, sub)
 
     def constant_mutation(self, ind: Individual) -> Individual:
         """Offset one uniformly chosen constant leaf by a draw from
@@ -404,11 +391,11 @@ class Engine:
                     spots.append((gi, path, node.value))
         if not spots:
             return self.subtree_mutation(ind)
-        o = self.clone_individual(ind)
         gi, path, value = spots[int(self.rng.integers(len(spots)))]
         delta = self.rng.normal(0.0, math.sqrt(self.cfg.var_cm))
-        o.genes[gi] = Gene(replace_subtree(o.genes[gi].root, path, Const(value + delta)))
-        return o
+        genes = list(ind.genes)
+        genes[gi] = Gene(replace_subtree(genes[gi].root, path, Const(value + delta)))
+        return self.clone_individual(Individual(genes, ind.dim))
 
     def weights_mutation(self, ind: Individual) -> Individual:
         """Offset every weight of one LCF node (U mode) or one whole index
@@ -422,20 +409,11 @@ class Engine:
         if not lcfs:
             return o
         if self.mode.mode == "U":
-            node = lcfs[int(self.rng.integers(len(lcfs)))]
-            targets = [node.weights]
-        else:
+            targets = [lcfs[int(self.rng.integers(len(lcfs)))].weights]
+        else:  # in G mode the group's one set is the table's
             indices = sorted({n.index for n in lcfs})
             index = indices[int(self.rng.integers(len(indices)))]
-            if self.mode.mode == "G":
-                targets = [self.table.weights[index]]
-            else:
-                targets = []
-                ids = set()
-                for n in lcfs:
-                    if n.index == index and id(n.weights) not in ids:
-                        ids.add(id(n.weights))
-                        targets.append(n.weights)
+            targets = dict.fromkeys(n.weights for n in lcfs if n.index == index)
         offset = self.rng.normal(0.0, math.sqrt(self.cfg.var_wm), size=1 + o.dim)
         for w in targets:
             w.a += offset[0]

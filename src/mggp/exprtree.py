@@ -8,9 +8,11 @@ leaves may reference one shared :class:`LcfWeights` object, in which case
 an update to the weights is seen by all of them.
 
 Tree structure is immutable: structural edits (:func:`replace_subtree`)
-return new trees that share untouched subtrees with the original.  The one
-sanctioned mutation is rebinding ``Lcf.weights``, which individual-level
-synchronisation code uses to (re)share weight sets.
+return new trees that share untouched subtrees with the original, and
+trees of different individuals may share subtrees too.  The one sanctioned
+mutation is rebinding ``Lcf.weights``, which individual-level
+synchronisation code uses to (re)share weight sets; it does so only on the
+LCF leaves of a copy that :func:`copy_tree` made for that individual.
 
 Each :class:`Gene` compiles its tree once into a flat postfix tape, which
 evaluation, the gradient module's forward trace and its backward sweep all
@@ -73,7 +75,7 @@ class LcfWeights:
     ``a`` is the additive weight, ``b`` the multiplicative weight vector
     (one entry per problem feature).  Step-size memory for resilient
     gradient updates lives on the object too, so weight sets keep their
-    tuning state wherever they are shared or copied.
+    tuning state wherever they are shared, and :meth:`copy` copies it.
     """
 
     __slots__ = ("a", "b", "delta", "prev_grad")
@@ -120,10 +122,6 @@ class LcfWeights:
         expected = np.zeros(self.dim)
         expected[index - 1] = 1.0
         return np.array_equal(self.b, expected)
-
-    def reset_tuning_state(self) -> None:
-        self.delta = None
-        self.prev_grad = None
 
     def __repr__(self) -> str:
         return f"LcfWeights(a={self.a!r}, b={self.b.tolist()!r})"
@@ -392,27 +390,17 @@ def replace_subtree(root: Node, path: tuple[int, ...], sub: Node) -> Node:
     return Func(root.kind, children)
 
 
-def copy_tree(root: Node, weight_map: dict[int, LcfWeights] | None = None) -> Node:
-    """Deep-copy a tree.
-
-    ``weight_map`` maps ``id(old_weights)`` to replacement weight objects and
-    is filled on demand, so sharing topology among LCF leaves is preserved in
-    the copy.  With ``weight_map=None`` the copy keeps the original weight
-    references (used by the globally synchronised mode).
-    """
+def copy_tree(root: Node, copy_weights: Callable[[LcfWeights], LcfWeights]) -> Node:
+    """Deep-copy a tree; each LCF leaf gets ``copy_weights(old_weights)``, so
+    the caller decides which leaves of the copy share a weight set."""
     if isinstance(root, Func):
-        return Func(root.kind, tuple(copy_tree(c, weight_map) for c in root.children))
+        return Func(root.kind, tuple(copy_tree(c, copy_weights) for c in root.children))
     if isinstance(root, Const):
         return Const(root.value)
     if isinstance(root, Var):
         return Var(root.index)
     if isinstance(root, Lcf):
-        if weight_map is None:
-            return Lcf(root.index, root.weights)
-        key = id(root.weights)
-        if key not in weight_map:
-            weight_map[key] = root.weights.copy()
-        return Lcf(root.index, weight_map[key])
+        return Lcf(root.index, copy_weights(root.weights))
     raise StructuralError(f"unknown node type {type(root).__name__}")
 
 

@@ -176,6 +176,20 @@ class TestCsv:
         assert np.array_equal(data.X, [[1.0], [3.0]])
         assert np.array_equal(data.y, [2.0, 4.0])
 
+    @pytest.mark.parametrize("target, column", [(0, 0), (2, 2), (-1, 2), (-3, 0)])
+    def test_target_index_in_range(self, tmp_path, target, column):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        assert np.array_equal(load_csv(p, target=target).y, [[1.0, 4.0], [2.0, 5.0],
+                                                             [3.0, 6.0]][column])
+
+    @pytest.mark.parametrize("target", [3, 5, 7, -4])
+    def test_target_index_out_of_range_rejected(self, tmp_path, target):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        with pytest.raises(DataError, match=rf"target column {target} out of range for 3 columns"):
+            load_csv(p, target=target)
+
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("1.0,2.0\n3.0\n")

@@ -126,6 +126,8 @@ class TestRun:
         ("s2d", ["--split-ratio", "-1"], "--split-ratio"),
         ("t.csv", ["--target-col", "foo"], "non-numeric value 'x1'"),
         ("t.csv", ["--header", "--target-col", "foo"], "not in header"),
+        ("t.csv", ["--header", "--target-col", "7"], "target column 7 out of range"),
+        ("t.csv", ["--header", "--target-col", "-3"], "target column -3 out of range"),
     ])
     def test_bad_input_is_a_data_error_and_creates_nothing(self, tmp_path, capsys, dataset,
                                                            flags, message):
@@ -185,6 +187,18 @@ class TestRun:
         assert [r.seed for r in load_records(path)] == [7, 8, 9]
         assert main(["report", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["baseline", "3"]
+
+    @pytest.mark.parametrize("configs", [("baseline", "baseline"), ("UB", "ub")])
+    def test_a_repeated_config_runs_once(self, tmp_path, capsys, configs):
+        out = tmp_path / "records"
+        path = run_small(tmp_path, configs=configs, runs=2, generations=1, out=out)
+        printed = capsys.readouterr().out
+        name = configs[0]
+        assert f"{name} seed=7 s2d: already recorded, skipped" in printed
+        assert f"{name} seed=8 s2d: already recorded, skipped" in printed
+        assert "wrote 2 records" in printed
+        assert [(r.codename, r.seed) for r in load_records(path)] == [(name, 7), (name, 8)]
+        assert main(["report", str(out)]) == 0
 
     def test_a_rerun_cuts_a_truncated_last_line_and_redoes_its_run(self, tmp_path, capsys):
         out = tmp_path / "records"
@@ -256,14 +270,12 @@ class TestReport:
         assert float(row[5]) == pytest.approx(s.test_median, rel=1e-3)
 
     def test_identical_configs_indifferent(self, tmp_path, capsys):
-        # same seeds and dataset, two labels: UM vs baseline won't be identical,
-        # so run baseline twice under different output labels via two runs files
-        path = run_small(tmp_path, configs=("baseline", "baseline"), runs=2)
-        records = load_records(path)
+        # the same runs on both sides: a repeated --config records them once
+        path = run_small(tmp_path, runs=2)
         from mggp.stats import compare_vs_baseline
 
-        scores = [r.test_r2 for r in records if r.codename == "baseline"]
-        res = compare_vs_baseline(scores[:2], scores[2:], alpha=0.05, m=1)
+        scores = [r.test_r2 for r in load_records(path)]
+        res = compare_vs_baseline(scores, list(scores), alpha=0.05, m=1)
         assert res.verdict == "indifferent"
 
     def test_empty_records_is_data_error(self, tmp_path):

@@ -20,6 +20,7 @@ from mggp.exprtree import (
     Lcf,
     LcfWeights,
     Var,
+    copy_tree,
     depth,
     iter_nodes,
     trees_equal,
@@ -259,6 +260,17 @@ class TestHighLevelCrossover:
         assert [g.root.value for g in o1.genes] == [1.0, 2.0, 3.0]
         assert [g.root.value for g in o2.genes] == [3.0]
 
+    def test_self_crossover_gives_each_u_leaf_its_own_set(self):
+        engine = make_engine("UB", seed=14)
+        p = Individual([Gene(Func(Fn.SIN, (Lcf(1, LcfWeights.identity(1, 2)),)))], 2)
+        # the gene stays (0.9) and also moves (0.1): offspring 1 holds it twice
+        engine.rng = StubRng(reals=[0.9, 0.1], ints=[0])
+        o1, _ = engine.high_level_xover(p, p)
+        first, second = o1.lcf_nodes()
+        assert len(o1.genes) == 2
+        assert first.weights is not second.weights
+        assert first.weights.values_equal(second.weights)
+
     def test_gene_count_never_exceeds_max(self):
         engine = make_engine("UM", seed=14)
         pop = engine.init_population()
@@ -428,6 +440,96 @@ class TestMutations:
         assert table.epoch == epoch + 1
 
 
+def s_mode_parent(dim=2):
+    """Two genes; index 1 shared across them, index 2 on a set of its own,
+    both carrying iRprop state."""
+    w1, w2 = LcfWeights(0.5, [1.0, -2.0]), LcfWeights(-1.0, [0.0, 3.0])
+    for w in (w1, w2):
+        w.delta, w.prev_grad = np.full(1 + dim, 0.1), np.ones(1 + dim)
+    g1 = Gene(Func(Fn.ADD, (Lcf(1, w1), Func(Fn.SIN, (Lcf(2, w2),)))))
+    g2 = Gene(Func(Fn.MUL, (Lcf(1, w1), Const(2.0))))
+    return Individual([g1, g2, Gene(Var(1))], dim)
+
+
+def snapshot(ind):
+    """What a variation operator must leave alone: the parent's trees and
+    weight objects, and the weights' values."""
+    sets = ind.weight_sets()
+    return ind, [g.root for g in ind.genes], sets, [w.values() for w in sets]
+
+
+def assert_untouched(shot):
+    ind, roots, sets, values = shot
+    assert [g.root for g in ind.genes] == roots
+    assert ind.weight_sets() == sets
+    for w, (a, b) in zip(sets, values):
+        assert w.a == a and np.array_equal(w.b, b)
+
+
+class TestCloning:
+    def groups(self, ind):
+        out = {}
+        for node in ind.lcf_nodes():
+            out.setdefault(node.index, []).append(node.weights)
+        return out
+
+    def test_s_clone_keeps_each_index_group_on_one_set(self):
+        engine = make_engine("SB", seed=40)
+        parent = s_mode_parent()
+        for fresh in (False, True):
+            clone = engine.clone_individual(parent, fresh=fresh)
+            for index, sets in self.groups(clone).items():
+                assert all(w is sets[0] for w in sets)
+                assert sets[0] is not self.groups(parent)[index][0]
+            assert clone.genes[2] is parent.genes[2]  # no LCF leaves: shared
+
+    def test_u_clone_gives_each_leaf_a_set(self):
+        engine = make_engine("UB", seed=40)
+        clone = engine.clone_individual(s_mode_parent())
+        nodes = clone.lcf_nodes()
+        assert len({id(n.weights) for n in nodes}) == len(nodes) == 3
+
+    def test_fresh_copies_drop_only_the_tuning_state(self):
+        engine = make_engine("SB", seed=41)
+        parent = s_mode_parent()
+        kept = engine.clone_individual(parent)
+        fresh = engine.clone_individual(parent, fresh=True)
+        for old, w, f in zip(parent.weight_sets(), kept.weight_sets(), fresh.weight_sets()):
+            assert w.values_equal(old) and f.values_equal(old)
+            assert np.array_equal(w.delta, old.delta) and w.delta is not old.delta
+            assert f.delta is None and f.prev_grad is None
+
+    @pytest.mark.parametrize("codename", ["UB", "SB", "GB"])
+    def test_variation_leaves_the_parents_untouched(self, codename):
+        engine = make_engine(codename, seed=42)
+        pop = engine.init_population()
+        shots = [snapshot(ind) for ind in pop]
+        copies = [[copy_tree(g.root, LcfWeights.copy) for g in ind.genes] for ind in pop]
+        for _ in range(60):
+            i, j = (pop[int(k)] for k in engine.rng.integers(0, len(pop), size=2))
+            offspring = [*engine.low_level_xover(i, j), *engine.high_level_xover(i, j),
+                         engine.subtree_mutation(i), engine.constant_mutation(j)]
+            if engine.mode.mode != "G":  # G-mode offspring hold the table's sets
+                mine = {id(w) for ind in pop for w in ind.weight_sets()}
+                assert not any(id(w) in mine for o in offspring for w in o.weight_sets())
+        for shot, trees in zip(shots, copies):
+            assert_untouched(shot)
+            assert all(trees_equal(g.root, t) for g, t in zip(shot[0].genes, trees))
+
+    def test_graft_onto_itself_copies_each_leaf(self):
+        engine = make_engine("SB", seed=43)
+        parent = s_mode_parent()
+        shot = snapshot(parent)
+        # gene 0 both sides; graft the subtree at pre-order index 2 over index 1
+        engine.rng = StubRng(ints=[0, 0, 1, 2])
+        o1, _ = engine.low_level_xover(parent, parent)
+        assert_untouched(shot)
+        sin = parent.genes[0].root.children[1]
+        assert format_t(o1.genes[0].root) == format_t(Func(Fn.ADD, (sin, sin)))
+        assert len(set(map(id, o1.genes[0].nodes))) == len(o1.genes[0].nodes)
+        assert all(w.delta is None for w in o1.weight_sets())
+
+
 class TestSyncRepair:
     def test_single_set_untouched(self):
         engine = make_engine("SB", seed=29)
@@ -553,6 +655,17 @@ class TestStepGeneration:
             for ind in pop:
                 for node in ind.lcf_nodes():
                     assert node.weights is engine.table.weights[node.index]
+
+    @pytest.mark.parametrize("codename", ["UM", "UB", "UC"])
+    def test_every_u_leaf_owns_its_weights(self, codename):
+        # seed 38 runs self-crossovers of individuals with LCF genes
+        engine = make_engine(codename, seed=38, pop_size=14, elite=3, tournament=3)
+        pop = engine.init_population()
+        for _ in range(3):
+            pop = engine.step_generation(pop)
+            for ind in pop:
+                nodes = ind.lcf_nodes()
+                assert len({id(n.weights) for n in nodes}) == len(nodes)
 
     def test_no_weight_sharing_across_individuals_in_u_and_s(self):
         for codename in ("UB", "SB"):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -196,14 +197,25 @@ class TestStructure:
             assert gene.node_count == naive_count(root)
 
     def test_copy_tree_preserves_weight_sharing(self):
+        # the callable decides the sharing: memoised, one copy per old set
         w = LcfWeights(1.5, [2.0, 0.0])
         tree = Func(Fn.ADD, (Lcf(1, w), Lcf(1, w)))
-        wmap = {}
-        cp = copy_tree(tree, wmap)
+        cp = copy_tree(tree, functools.cache(LcfWeights.copy))
         leaves = [n for n in iter_nodes(cp) if isinstance(n, Lcf)]
         assert leaves[0].weights is leaves[1].weights
         assert leaves[0].weights is not w
         assert leaves[0].weights.values_equal(w)
+        assert trees_equal(cp, tree) and cp is not tree
+
+    def test_copy_tree_calls_copy_weights_once_per_leaf(self):
+        w = LcfWeights(1.5, [2.0, 0.0])
+        tree = Func(Fn.ADD, (Lcf(1, w), Func(Fn.SIN, (Lcf(1, w),))))
+        seen = []
+        cp = copy_tree(tree, lambda old: seen.append(old) or old.copy())
+        first, second = (n for n in iter_nodes(cp) if isinstance(n, Lcf))
+        assert seen == [w, w]
+        assert first.weights is not second.weights
+        assert first.weights.values_equal(w) and second.weights.values_equal(w)
 
     def test_iter_paths_addresses_every_node(self):
         rng = np.random.default_rng(9)
