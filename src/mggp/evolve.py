@@ -40,10 +40,7 @@ from .exprtree import (
     Lcf,
     LcfWeights,
     TerminalConfig,
-    copy_tree,
     format_tree,
-    iter_paths,
-    node_at,
     pick_node,
     random_tree,
     replace_subtree,
@@ -143,6 +140,8 @@ class EngineConfig:
             raise ValueError("pr_cm + pr_wm must not exceed 1")
         if self.g_max < 1 or self.d_max < 0 or self.tournament < 1:
             raise ValueError("g_max, d_max and tournament must be positive")
+        if not 0 <= self.init_depth_min <= self.init_depth_max <= self.d_max:
+            raise ValueError("need 0 <= init_depth_min <= init_depth_max <= d_max")
 
     @classmethod
     def for_mode(cls, mode: ModeConfig, **overrides) -> "EngineConfig":
@@ -296,7 +295,7 @@ class Engine:
         copy_weights = (lambda w: LcfWeights(w.a, w.b)) if fresh else LcfWeights.copy
         if self.mode.mode != "U":
             copy_weights = functools.cache(copy_weights)  # sets hash by identity
-        genes = [Gene(copy_tree(g.root, copy_weights)) if g.has_lcf else g for g in ind.genes]
+        genes = [g.copy(copy_weights) if g.has_lcf else g for g in ind.genes]
         return Individual(genes, ind.dim)
 
     # -- selection -----------------------------------------------------
@@ -354,20 +353,19 @@ class Engine:
         limit reverts to its parent."""
         i1 = int(self.rng.integers(len(p1.genes)))
         i2 = int(self.rng.integers(len(p2.genes)))
-        root1, root2 = p1.genes[i1].root, p2.genes[i2].root
-        path1 = pick_node(self.rng, root1)
-        path2 = pick_node(self.rng, root2)
-        o1 = self._graft(p1, i1, path1, node_at(root2, path2))
-        o2 = self._graft(p2, i2, path2, node_at(root1, path1))
+        g1, g2 = p1.genes[i1], p2.genes[i2]
+        slot1, _ = pick_node(self.rng, g1)
+        slot2, _ = pick_node(self.rng, g2)
+        o1 = self._graft(p1, i1, slot1, g2.nodes[slot2])
+        o2 = self._graft(p2, i2, slot2, g1.nodes[slot1])
         return o1, o2
 
-    def _graft(self, parent: Individual, gi: int, path: tuple[int, ...],
-               sub) -> Individual:
-        """A fresh copy of ``parent`` whose gene ``gi`` holds ``sub`` at
-        ``path``, or of ``parent`` unchanged when the new gene would break the
-        depth or size limit."""
+    def _graft(self, parent: Individual, gi: int, slot: int, sub) -> Individual:
+        """A fresh copy of ``parent`` whose gene ``gi`` holds ``sub`` at tape
+        slot ``slot``, or of ``parent`` unchanged when the new gene would
+        break the depth or size limit."""
         genes = list(parent.genes)
-        gene = Gene(replace_subtree(genes[gi].root, path, sub))
+        gene = Gene(replace_subtree(genes[gi], slot, sub))
         if gene.depth <= self.cfg.d_max and gene.node_count <= self.cfg.n_max:
             genes[gi] = gene
         return self.clone_individual(Individual(genes, parent.dim), fresh=True)
@@ -376,25 +374,23 @@ class Engine:
         """Replace a uniformly chosen node of a uniformly chosen gene by a
         grown random tree that keeps the gene within the depth limit."""
         gi = int(self.rng.integers(len(ind.genes)))
-        path = pick_node(self.rng, ind.genes[gi].root)
-        sub = random_tree(self.rng, self.cfg.d_max - len(path), "grow", self.terminals)
-        return self._graft(ind, gi, path, sub)
+        slot, level = pick_node(self.rng, ind.genes[gi])
+        sub = random_tree(self.rng, self.cfg.d_max - level, "grow", self.terminals)
+        return self._graft(ind, gi, slot, sub)
 
     def constant_mutation(self, ind: Individual) -> Individual:
         """Offset one uniformly chosen constant leaf by a draw from
         N(0, var_cm); falls back to subtree mutation when the individual
         has no constant leaves."""
-        spots = []
-        for gi, gene in enumerate(ind.genes):
-            for path, node in iter_paths(gene.root):
-                if isinstance(node, Const):
-                    spots.append((gi, path, node.value))
+        spots = [(gi, slot) for gi, gene in enumerate(ind.genes)
+                 for slot, node in enumerate(gene.nodes) if isinstance(node, Const)]
         if not spots:
             return self.subtree_mutation(ind)
-        gi, path, value = spots[int(self.rng.integers(len(spots)))]
+        gi, slot = spots[int(self.rng.integers(len(spots)))]
         delta = self.rng.normal(0.0, math.sqrt(self.cfg.var_cm))
         genes = list(ind.genes)
-        genes[gi] = Gene(replace_subtree(genes[gi].root, path, Const(value + delta)))
+        value = genes[gi].nodes[slot].value
+        genes[gi] = Gene(replace_subtree(genes[gi], slot, Const(value + delta)))
         return self.clone_individual(Individual(genes, ind.dim))
 
     def weights_mutation(self, ind: Individual) -> Individual:

@@ -7,18 +7,19 @@ leaf can express any linear transformation of the input space.  Several LCF
 leaves may reference one shared :class:`LcfWeights` object, in which case
 an update to the weights is seen by all of them.
 
-Tree structure is immutable: structural edits (:func:`replace_subtree`)
-return new trees that share untouched subtrees with the original, and
-trees of different individuals may share subtrees too.  The one sanctioned
-mutation is rebinding ``Lcf.weights``, which individual-level
-synchronisation code uses to (re)share weight sets; it does so only on the
-LCF leaves of a copy that :func:`copy_tree` made for that individual.
-
 Each :class:`Gene` compiles its tree once into a flat postfix tape, which
 evaluation, the gradient module's forward trace and its backward sweep all
 run over.  Evaluation is vectorised over sample rows and propagates
 non-finite values untouched; the fitness layer decides what to do with
-them.
+them.  Nodes are addressed by tape slot, and :func:`replace_subtree` and
+:meth:`Gene.copy` share one rebuild over the slots.
+
+Tree structure is immutable: structural edits return new trees that share
+untouched subtrees with the original, and trees of different individuals
+may share subtrees too.  The one sanctioned mutation is rebinding
+``Lcf.weights``, which individual-level synchronisation code uses to
+(re)share weight sets; it does so only on the LCF leaves of a copy that
+:meth:`Gene.copy` made for that individual.
 """
 
 from __future__ import annotations
@@ -349,59 +350,42 @@ def iter_nodes(root: Node) -> Iterator[Node]:
             stack.extend(reversed(node.children))
 
 
-def iter_paths(root: Node) -> Iterator[tuple[tuple[int, ...], Node]]:
-    """Pre-order walk yielding (path, node); a path is a tuple of child slots."""
-    stack = [((), root)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        if isinstance(node, Func):
-            for i in range(len(node.children) - 1, -1, -1):
-                stack.append((path + (i,), node.children[i]))
+def pick_node(rng, gene: "Gene") -> tuple[int, int]:
+    """Uniformly pick a node of ``gene``; returns its tape slot and depth.
+    The one draw numbers the nodes in pre-order."""
+    program, stack = gene.program, [(gene.node_count - 1, 0)]
+    for _ in range(int(rng.integers(gene.node_count))):
+        slot, level = stack.pop()  # pre-order: the right child goes on first
+        a, b = program[SLOT * slot + 2], program[SLOT * slot + 3]
+        if b >= 0:
+            stack.append((b, level + 1))
+        if a >= 0:
+            stack.append((a, level + 1))
+    return stack.pop()
 
 
-def node_at(root: Node, path: tuple[int, ...]) -> Node:
-    node = root
-    for slot in path:
-        if not isinstance(node, Func) or slot >= len(node.children):
-            raise StructuralError(f"locator {path!r} does not address a node")
-        node = node.children[slot]
-    return node
+def _rebuild(gene: "Gene", changes: dict[int, Node]) -> list[Node]:
+    """``gene``'s nodes slot by slot, with ``changes[slot]`` in place and a new
+    ``Func`` wherever a child changed; untouched subtrees stay shared.  The
+    slots before the first change keep their nodes: children precede parents."""
+    program, nodes, changed = gene.program, gene.nodes, dict(changes)
+    out = list(nodes[: min(changed, default=len(nodes))])
+    for slot in range(len(out), len(nodes)):
+        node = changed.get(slot)
+        if node is None:
+            node, a, b = nodes[slot], program[SLOT * slot + 2], program[SLOT * slot + 3]
+            if a in changed or b in changed:  # slots are >= 0: a leaf's -1s match none
+                node = changed[slot] = Func(node.kind, (out[a],) if b < 0 else (out[a], out[b]))
+        out.append(node)
+    return out
 
 
-def pick_node(rng, root: Node) -> tuple[int, ...]:
-    """Uniformly pick a node of the tree; returns its path locator."""
-    paths = [p for p, _ in iter_paths(root)]
-    return paths[int(rng.integers(len(paths)))]
-
-
-def replace_subtree(root: Node, path: tuple[int, ...], sub: Node) -> Node:
-    """Return a new tree with the subtree at ``path`` replaced by ``sub``.
-
-    Untouched subtrees are shared with the original tree.
-    """
-    if not path:
-        return sub
-    if not isinstance(root, Func) or path[0] >= len(root.children):
-        raise StructuralError(f"locator {path!r} does not address a node")
-    slot = path[0]
-    children = list(root.children)
-    children[slot] = replace_subtree(children[slot], path[1:], sub)
-    return Func(root.kind, children)
-
-
-def copy_tree(root: Node, copy_weights: Callable[[LcfWeights], LcfWeights]) -> Node:
-    """Deep-copy a tree; each LCF leaf gets ``copy_weights(old_weights)``, so
-    the caller decides which leaves of the copy share a weight set."""
-    if isinstance(root, Func):
-        return Func(root.kind, tuple(copy_tree(c, copy_weights) for c in root.children))
-    if isinstance(root, Const):
-        return Const(root.value)
-    if isinstance(root, Var):
-        return Var(root.index)
-    if isinstance(root, Lcf):
-        return Lcf(root.index, copy_weights(root.weights))
-    raise StructuralError(f"unknown node type {type(root).__name__}")
+def replace_subtree(gene: "Gene", slot: int, sub: Node) -> Node:
+    """The root of ``gene``'s tree with the subtree at tape slot ``slot``
+    replaced by ``sub``; untouched subtrees are shared with the original."""
+    if not 0 <= slot < gene.node_count:
+        raise StructuralError(f"slot {slot} is outside a {gene.node_count}-slot tape")
+    return _rebuild(gene, {slot: sub})[-1]
 
 
 def trees_equal(a: Node, b: Node) -> bool:
@@ -512,6 +496,21 @@ class Gene:
         self.node_count = len(self.nodes)
         self.has_lcf = bool(self.program[-SLOT + 1])
         self._cached = None  # (input array, key, output)
+
+    def copy(self, copy_weights: Callable[[LcfWeights], LcfWeights]) -> "Gene":
+        """A copy whose LCF leaves are new, each holding ``copy_weights(old
+        set)`` in left-to-right order, so the caller decides which leaves of
+        the copy share a weight set.  Their ancestors are rebuilt; LCF-free
+        subtrees are immutable and stay shared.  The copy reuses this gene's
+        tape, depth and size."""
+        changes = {slot: Lcf(node.index, copy_weights(node.weights))
+                   for slot, node in enumerate(self.nodes) if isinstance(node, Lcf)}
+        nodes = _rebuild(self, changes)
+        gene = Gene.__new__(Gene)
+        gene.root, gene.nodes, gene.program = nodes[-1], tuple(nodes), self.program
+        gene.depth, gene.node_count, gene.has_lcf = self.depth, self.node_count, self.has_lcf
+        gene._cached = None
+        return gene
 
     def lcf_leaves(self) -> list[Lcf]:
         """LCF leaves in left-to-right (pre-order) order."""

@@ -90,13 +90,13 @@ def _normal_p(ranks: np.ndarray, n: int, m: int, u_obs: float) -> float:
     return min(1.0, math.erfc(z / math.sqrt(2.0)))
 
 
-def mann_whitney_u(a, b, alpha: float = 0.05, method: str = "auto") -> ComparisonResult:
+def mann_whitney_u(a, b, alpha: float = 0.05) -> ComparisonResult:
     """Two-sided Mann-Whitney rank test of samples ``a`` vs ``b``.
 
     Uses the exact null distribution when the pooled size is below 20 and the
-    corrected normal approximation otherwise (``method`` can force either).
-    The reported U statistic belongs to ``a``; the verdict compares medians
-    once ``p <= alpha``, a significance level strictly between 0 and 1.
+    corrected normal approximation otherwise.  The reported U statistic
+    belongs to ``a``; the verdict compares medians once ``p <= alpha``, a
+    significance level strictly between 0 and 1.
     """
     _check_alpha(alpha)
     a = np.asarray(a, dtype=float)
@@ -104,11 +104,9 @@ def mann_whitney_u(a, b, alpha: float = 0.05, method: str = "auto") -> Compariso
     n, m = len(a), len(b)
     if n < 1 or m < 1:
         raise ValueError("both samples must be non-empty")
-    if method not in ("auto", "exact", "normal"):
-        raise ValueError(f"unknown method {method!r}")
     ranks = _midranks(np.concatenate([a, b]))
     u_a = float(ranks[:n].sum()) - n * (n + 1) / 2.0
-    if method == "exact" or (method == "auto" and n + m < 20):
+    if n + m < 20:
         p = _exact_p(ranks, n, u_a)
     else:
         p = _normal_p(ranks, n, m, u_a)

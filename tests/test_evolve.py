@@ -20,9 +20,10 @@ from mggp.exprtree import (
     Lcf,
     LcfWeights,
     Var,
-    copy_tree,
     depth,
+    format_tree,
     iter_nodes,
+    parse_tree,
     trees_equal,
 )
 
@@ -97,6 +98,23 @@ class TestModeConfig:
         assert EngineConfig.for_mode(ModeConfig.from_codename("UC")).pr_wm == 0.05
         assert EngineConfig.for_mode(ModeConfig.from_codename("UB")).pr_wm == 0.0
         assert EngineConfig.for_mode(ModeConfig.from_codename("baseline")).pr_wm == 0.0
+
+    @pytest.mark.parametrize("depths", [
+        dict(d_max=3),  # the default init_depth_max, 6, is above it
+        dict(init_depth_min=5, init_depth_max=3),
+        dict(init_depth_min=-1),
+        dict(d_max=4, init_depth_min=2, init_depth_max=5),
+    ])
+    def test_initial_depths_must_lie_within_the_depth_limit(self, depths):
+        with pytest.raises(ValueError, match="init_depth_min <= init_depth_max <= d_max"):
+            EngineConfig(pop_size=20, elite=2, tournament=3, **depths)
+
+    def test_initial_depths_at_the_limits_are_accepted(self):
+        cfg = EngineConfig(d_max=3, init_depth_min=0, init_depth_max=3, pop_size=20,
+                           elite=2, tournament=3)
+        train = toy_dataset(seed=6)
+        result = run(cfg, ModeConfig(), train, train, RunBudget(max_generations=3), seed=0)
+        assert all(g.depth <= 3 for g in result.best.genes)
 
 
 class TestInitPopulation:
@@ -293,7 +311,7 @@ class TestLowLevelCrossover:
         a, b = Func(Fn.SIN, (Var(1),)), Func(Fn.COS, (Var(2),))
         p1 = Individual([Gene(a)], 2)
         p2 = Individual([Gene(b)], 2)
-        engine.rng = StubRng(ints=[0, 0, 0, 0])  # gene 0 each, node path index 0 = root
+        engine.rng = StubRng(ints=[0, 0, 0, 0])  # gene 0 each, pre-order index 0 = root
         o1, o2 = engine.low_level_xover(p1, p2)
         assert trees_equal(o1.genes[0].root, b)
         assert trees_equal(o2.genes[0].root, a)
@@ -308,8 +326,8 @@ class TestLowLevelCrossover:
         p2 = Individual([Gene(shallow)], 2)
         # swap p1's leaf (depth 11 spot) with p2's whole tree -> depth 12: revert o1;
         # o2 gets the leaf at its root position: fine.
-        leaf_path_index = 11  # pre-order: 11 sin nodes then the leaf
-        engine.rng = StubRng(ints=[0, 0, leaf_path_index, 0])
+        leaf = 11  # pre-order index: 11 sin nodes then the leaf
+        engine.rng = StubRng(ints=[0, 0, leaf, 0])
         o1, o2 = engine.low_level_xover(p1, p2)
         assert trees_equal(o1.genes[0].root, deep)  # reverted
         assert trees_equal(o2.genes[0].root, Var(1))
@@ -371,6 +389,19 @@ class TestMutations:
         assert trees_equal(out.genes[0].root, ind.genes[0].root) or trees_equal(
             out.genes[1].root, ind.genes[1].root
         )
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_constant_mutation_draw_counts_constants_left_to_right(self, k):
+        engine = make_engine("baseline", seed=21)
+        tree = Func(Fn.ADD, (Func(Fn.MUL, (Const(0.0), Func(Fn.SIN, (Const(1.0),)))),
+                             Func(Fn.SUB, (Var(1), Const(2.0)))))
+        ind = Individual([Gene(Const(3.0)), Gene(tree), Gene(Var(2)), Gene(Const(4.0))], 2)
+        engine.rng = StubRng(ints=[k], normals=[0.5])
+        out = engine.constant_mutation(ind)
+        values = [n.value for g in out.genes for n in iter_nodes(g.root) if isinstance(n, Const)]
+        expected = [3.0, 0.0, 1.0, 2.0, 4.0]
+        expected[k] += 0.5 * np.sqrt(engine.cfg.var_cm)
+        assert values == expected
 
     def test_constant_mutation_without_constants_falls_back(self):
         engine = make_engine("baseline", seed=22)
@@ -504,7 +535,7 @@ class TestCloning:
         engine = make_engine(codename, seed=42)
         pop = engine.init_population()
         shots = [snapshot(ind) for ind in pop]
-        copies = [[copy_tree(g.root, LcfWeights.copy) for g in ind.genes] for ind in pop]
+        copies = [[parse_tree(format_tree(g.root), ind.dim) for g in ind.genes] for ind in pop]
         for _ in range(60):
             i, j = (pop[int(k)] for k in engine.rng.integers(0, len(pop), size=2))
             offspring = [*engine.low_level_xover(i, j), *engine.high_level_xover(i, j),

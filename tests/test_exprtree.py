@@ -14,13 +14,10 @@ from mggp.exprtree import (
     LcfWeights,
     TerminalConfig,
     Var,
-    copy_tree,
     depth,
     eval_batch,
     format_tree,
     iter_nodes,
-    iter_paths,
-    node_at,
     node_count,
     parse_tree,
     pick_node,
@@ -33,6 +30,17 @@ from mggp.exprtree import (
 
 def lcf(index, a, b):
     return Lcf(index, LcfWeights(a, b))
+
+
+class Draw:
+    """A random source whose one integer draw is ``k``."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def integers(self, n):
+        assert 0 <= self.k < n
+        return self.k
 
 
 class TestEval:
@@ -137,23 +145,25 @@ class TestStructure:
         assert node_count(tree) == 4
 
     def test_replace_root(self):
-        tree = Func(Fn.ADD, (Var(1), Var(2)))
+        gene = Gene(Func(Fn.ADD, (Var(1), Var(2))))
         sub = Const(5.0)
-        assert replace_subtree(tree, (), sub) is sub
+        assert replace_subtree(gene, 2, sub) is sub  # the root is the last slot
 
     def test_replace_leaf(self):
         tree = Func(Fn.ADD, (Var(1), Var(2)))
-        out = replace_subtree(tree, (0,), Const(5.0))
+        gene = Gene(tree)
+        out = replace_subtree(gene, 0, Const(5.0))
         assert trees_equal(out, Func(Fn.ADD, (Const(5.0), Var(2))))
-        out = replace_subtree(tree, (1,), Const(5.0))
+        assert out.children[1] is tree.children[1]
+        out = replace_subtree(gene, 1, Const(5.0))
         assert trees_equal(out, Func(Fn.ADD, (Var(1), Const(5.0))))
+        assert out.children[0] is tree.children[0]
 
     def test_stale_locator_raises(self):
-        tree = Func(Fn.ADD, (Var(1), Var(2)))
-        with pytest.raises(StructuralError):
-            node_at(tree, (0, 0))
-        with pytest.raises(StructuralError):
-            replace_subtree(tree, (2,), Const(1.0))
+        for gene in (Gene(Func(Fn.ADD, (Var(1), Var(2)))), Gene(Var(1))):
+            for slot in (-2, -1, gene.node_count, gene.node_count + 1):
+                with pytest.raises(StructuralError):
+                    replace_subtree(gene, slot, Const(1.0))
 
     def test_pick_node_is_uniform(self):
         tree = Func(
@@ -163,16 +173,25 @@ class TestStructure:
                 Func(Fn.ADD, (Const(1.0), Var(1))),
             ),
         )
-        assert node_count(tree) == 7
+        gene = Gene(tree)
+        assert gene.node_count == 7
         rng = np.random.default_rng(5)
         counts = {}
         n = 10_000
         for _ in range(n):
-            path = pick_node(rng, tree)
-            counts[path] = counts.get(path, 0) + 1
-        assert len(counts) == 7
+            slot, level = pick_node(rng, gene)
+            counts[slot] = counts.get(slot, 0) + 1
+        assert sorted(counts) == list(range(7))
         for c in counts.values():
             assert abs(c / n - 1 / 7) <= 0.02
+
+    def test_pick_node_addresses_every_slot(self):
+        # draw k names the k-th node in pre-order; its depth comes along
+        tree = Func(Fn.MUL, (Func(Fn.SIN, (Var(1),)), Func(Fn.ADD, (Const(1.0), Var(2)))))
+        gene = Gene(tree)
+        picks = [pick_node(Draw(k), gene) for k in range(gene.node_count)]
+        assert picks == [(5, 0), (1, 1), (0, 2), (4, 1), (2, 2), (3, 2)]
+        assert [gene.nodes[slot] for slot, _ in picks] == list(iter_nodes(tree))
 
     def test_caches_match_naive_recomputation_after_edits(self):
         def naive_depth(node):
@@ -187,44 +206,34 @@ class TestStructure:
 
         rng = np.random.default_rng(3)
         tc = TerminalConfig(dim=2, use_lcf=True)
-        root = random_tree(rng, 5, "full", tc)
+        gene = Gene(random_tree(rng, 5, "full", tc))
         for _ in range(200):
-            path = pick_node(rng, root)
+            slot, _ = pick_node(rng, gene)
             sub = random_tree(rng, int(rng.integers(0, 4)), "grow", tc)
-            root = replace_subtree(root, path, sub)
-            gene = Gene(root)
-            assert gene.depth == naive_depth(root)
-            assert gene.node_count == naive_count(root)
+            gene = Gene(replace_subtree(gene, slot, sub))
+            assert gene.depth == naive_depth(gene.root)
+            assert gene.node_count == naive_count(gene.root)
 
-    def test_copy_tree_preserves_weight_sharing(self):
+    def test_gene_copy_preserves_weight_sharing(self):
         # the callable decides the sharing: memoised, one copy per old set
         w = LcfWeights(1.5, [2.0, 0.0])
         tree = Func(Fn.ADD, (Lcf(1, w), Lcf(1, w)))
-        cp = copy_tree(tree, functools.cache(LcfWeights.copy))
+        cp = Gene(tree).copy(functools.cache(LcfWeights.copy)).root
         leaves = [n for n in iter_nodes(cp) if isinstance(n, Lcf)]
         assert leaves[0].weights is leaves[1].weights
         assert leaves[0].weights is not w
         assert leaves[0].weights.values_equal(w)
         assert trees_equal(cp, tree) and cp is not tree
 
-    def test_copy_tree_calls_copy_weights_once_per_leaf(self):
+    def test_gene_copy_calls_copy_weights_once_per_leaf(self):
         w = LcfWeights(1.5, [2.0, 0.0])
         tree = Func(Fn.ADD, (Lcf(1, w), Func(Fn.SIN, (Lcf(1, w),))))
         seen = []
-        cp = copy_tree(tree, lambda old: seen.append(old) or old.copy())
+        cp = Gene(tree).copy(lambda old: seen.append(old) or old.copy()).root
         first, second = (n for n in iter_nodes(cp) if isinstance(n, Lcf))
         assert seen == [w, w]
         assert first.weights is not second.weights
         assert first.weights.values_equal(w) and second.weights.values_equal(w)
-
-    def test_iter_paths_addresses_every_node(self):
-        rng = np.random.default_rng(9)
-        tc = TerminalConfig(dim=2, use_lcf=True)
-        tree = random_tree(rng, 4, "full", tc)
-        pairs = list(iter_paths(tree))
-        assert len(pairs) == node_count(tree)
-        for path, node in pairs:
-            assert node_at(tree, path) is node
 
 
 class TestRandomTree:
@@ -240,9 +249,11 @@ class TestRandomTree:
         tc = TerminalConfig(dim=2, use_lcf=True)
         for _ in range(50):
             tree = random_tree(rng, 2, "full", tc)
-            for path, node in iter_paths(tree):
-                if not isinstance(node, Func):
-                    assert len(path) == 2
+            gene = Gene(tree)
+            for k in range(gene.node_count):
+                slot, level = pick_node(Draw(k), gene)
+                if not isinstance(gene.nodes[slot], Func):
+                    assert level == 2
 
     def test_grow_respects_depth_bound(self):
         rng = np.random.default_rng(2)

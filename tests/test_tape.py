@@ -3,15 +3,21 @@
 The references below are written out here on purpose: a recursive
 evaluator and a recursive backward pass with their own operator and
 derivative formulas, so the tape's outputs and gradients are checked bit for
-bit against an independent implementation.
+bit against an independent implementation.  Picking, editing and copying by
+tape slot are checked the same way, against path-addressed recursive
+references.
 """
 
+import functools
+
 import numpy as np
+import pytest
 from scipy.special import expit
 
 from mggp.backprop import backward, forward_trace
 from mggp.evolve import Individual
 from mggp.exprtree import (
+    SLOT,
     Const,
     Fn,
     Func,
@@ -22,7 +28,10 @@ from mggp.exprtree import (
     Var,
     eval_batch,
     iter_nodes,
+    pick_node,
     random_tree,
+    replace_subtree,
+    trees_equal,
 )
 from mggp.fitness import LinearModel
 
@@ -290,3 +299,130 @@ def test_a_trace_reads_lcf_free_roots_through_the_gene_cache():
             model = LinearModel(c0=0.2, c=rng.normal(size=len(ind.genes)))
             assert_same_gradients(backward(ind, trace, y, model), ref_gradients(ind, X, y, model))
     assert checked > 20
+
+
+# ---------------------------------------------------------------------------
+# node addressing by tape slot, against the path-based references below: a
+# path is a tuple of child positions from the root, numbered in pre-order
+
+
+def ref_iter_paths(root):
+    stack = [((), root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        if isinstance(node, Func):
+            for i in range(len(node.children) - 1, -1, -1):
+                stack.append((path + (i,), node.children[i]))
+
+
+def ref_node_at(root, path):
+    for i in path:
+        root = root.children[i]
+    return root
+
+
+def ref_pick_node(rng, root):
+    paths = [p for p, _ in ref_iter_paths(root)]
+    return paths[int(rng.integers(len(paths)))]
+
+
+def ref_replace_subtree(root, path, sub):
+    if not path:
+        return sub
+    children = list(root.children)
+    children[path[0]] = ref_replace_subtree(children[path[0]], path[1:], sub)
+    return Func(root.kind, children)
+
+
+def ref_copy_tree(root, copy_weights):
+    if isinstance(root, Func):
+        return Func(root.kind, tuple(ref_copy_tree(c, copy_weights) for c in root.children))
+    if isinstance(root, Const):
+        return Const(root.value)
+    if isinstance(root, Var):
+        return Var(root.index)
+    return Lcf(root.index, copy_weights(root.weights))
+
+
+def post_order_paths(root, path=()):
+    """The path of every tape slot, in slot order."""
+    if isinstance(root, Func):
+        for i, child in enumerate(root.children):
+            yield from post_order_paths(child, path + (i,))
+    yield path
+
+
+def test_pick_node_draws_like_the_path_walk():
+    genes, _ = fuzzed_genes(8, 300)
+    rng = np.random.default_rng(80)
+    twin = np.random.default_rng(80)
+    for gene in genes:
+        slot_paths = list(post_order_paths(gene.root))
+        for _ in range(4):
+            path = ref_pick_node(twin, gene.root)
+            slot, level = pick_node(rng, gene)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert slot_paths[slot] == path
+            assert gene.nodes[slot] is ref_node_at(gene.root, path)
+            assert level == len(path)
+
+
+def test_replace_subtree_matches_the_path_edit_and_shares_the_rest():
+    genes, rng = fuzzed_genes(9, 300)
+    tc = pooled_terminals(rng, 3)
+    for gene in genes:
+        slot_paths = list(post_order_paths(gene.root))
+        for slot in rng.integers(0, gene.node_count, size=3):
+            sub = random_tree(rng, int(rng.integers(0, 3)), "grow", tc)
+            path = slot_paths[slot]
+            out = replace_subtree(gene, int(slot), sub)
+            assert trees_equal(out, ref_replace_subtree(gene.root, path, sub))
+            new, old = out, gene.root
+            for i in path:  # off the edited path every subtree is the original's
+                assert all(a is b for k, (a, b) in enumerate(zip(new.children, old.children))
+                           if k != i)
+                new, old = new.children[i], old.children[i]
+            assert new is sub
+            edited = Gene(out)
+            assert edited.program == Gene(ref_replace_subtree(gene.root, path, sub)).program
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_gene_copy_reuses_the_tape_and_copies_the_lcf_leaves(shared):
+    genes, rng = fuzzed_genes(11, 300)
+    X = rng.uniform(-1.5, 1.5, size=(12, 3))
+    checked = 0
+    for gene in genes:
+        seen, ref_seen = [], []
+
+        def fresh_set(w, log):
+            log.append(w)
+            return w.copy()
+
+        new_set = functools.cache(LcfWeights.copy) if shared else (lambda w: fresh_set(w, seen))
+        ref_set = functools.cache(LcfWeights.copy) if shared else (lambda w: fresh_set(w, ref_seen))
+        copy = gene.copy(new_set)
+        assert trees_equal(copy.root, ref_copy_tree(gene.root, ref_set))
+        assert seen == ref_seen  # once per leaf, left to right
+        fresh = Gene(copy.root)
+        assert copy.program is gene.program and copy.program == fresh.program
+        assert copy.nodes == fresh.nodes  # the same node objects, in slot order
+        assert (copy.depth, copy.node_count, copy.has_lcf) == (
+            fresh.depth, fresh.node_count, fresh.has_lcf)
+        for slot, (old, new) in enumerate(zip(gene.nodes, copy.nodes)):
+            if gene.program[SLOT * slot + 1]:  # the subtree holds an LCF leaf
+                assert new is not old
+            else:
+                assert new is old  # immutable, so shared
+        sets = {}
+        for old, new in zip(gene.lcf_leaves(), copy.lcf_leaves()):
+            assert new.weights is not old.weights and new.weights.values_equal(old.weights)
+            if shared:  # one new set per old set
+                assert sets.setdefault(id(old.weights), new.weights) is new.weights
+        if not shared:
+            assert len({id(n.weights) for n in copy.lcf_leaves()}) == len(copy.lcf_leaves())
+        with np.errstate(all="ignore"):
+            assert np.array_equal(copy.output(X), gene.output(X), equal_nan=True)
+        checked += gene.has_lcf
+    assert checked > 100
