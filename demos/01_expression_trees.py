@@ -11,14 +11,13 @@ from mggp import (
     Const,
     Fn,
     Func,
+    Gene,
     Lcf,
     LcfWeights,
     TerminalConfig,
     Var,
-    depth,
     eval_batch,
     format_tree,
-    node_count,
     parse_tree,
     random_tree,
 )
@@ -27,9 +26,10 @@ rng = np.random.default_rng(0)
 
 # A hand-built tree: sin(x1) * (2.5 + x2)
 tree = Func(Fn.MUL, (Func(Fn.SIN, (Var(1),)), Func(Fn.ADD, (Const(2.5), Var(2)))))
+gene = Gene(tree)  # compiled once to a postfix tape, with its measures
 print("tree:       ", format_tree(tree))
-print("depth:      ", depth(tree))
-print("node count: ", node_count(tree))
+print("depth:      ", gene.depth)
+print("node count: ", gene.node_count)
 
 X = rng.uniform(-3, 3, size=(5, 2))
 print("values:     ", eval_batch(tree, X))
@@ -53,5 +53,5 @@ print("\nparsed and re-printed:  ", format_tree(parsed))
 terminals = TerminalConfig(dim=2, use_lcf=True)
 for method in ("full", "grow"):
     t = random_tree(rng, 3, method, terminals)
-    print(f"\nrandom {method} tree (depth {depth(t)}):")
+    print(f"\nrandom {method} tree (depth {Gene(t).depth}):")
     print("  ", format_tree(t))

@@ -31,7 +31,6 @@ import numpy as np
 from scipy.special import expit
 
 from .exprtree import (
-    FORWARD,
     N_BINARY,
     OP_CONST,
     POWER_EXPONENT,
@@ -148,19 +147,6 @@ DERIVATIVE = {
     **{kind: (lambda x, y, out, i, k=k: k * x ** (k - 1)) for kind, k in POWER_EXPONENT.items()},
 }
 _DERIVATIVE_BY_OP = tuple(DERIVATIVE[kind] for kind in Fn)
-_USES_OUTPUT = frozenset((Fn.EXP, Fn.TANH, Fn.GAUSS))
-
-
-def local_derivative(kind: Fn, child_values, child_index: int = 0) -> np.ndarray:
-    """d(output)/d(child) of one operator at the given child values.
-
-    Singular points take their limit values (sinc' at 0 is 0).
-    """
-    args = [np.asarray(v, dtype=float) for v in child_values]
-    y = args[1] if len(args) > 1 else None
-    with np.errstate(all="ignore"):
-        out = FORWARD[kind](*args) if kind in _USES_OUTPUT else None
-        return DERIVATIVE[kind](args[0], y, out, child_index)
 
 
 class GradientTable:

@@ -290,7 +290,7 @@ class Engine:
         start without it when ``fresh``.  Genes without LCF leaves are
         immutable and stay shared.
         """
-        if self.mode.mode == "G" and not detach:
+        if (self.mode.mode == "G" and not detach) or not ind.has_lcf():
             return Individual(list(ind.genes), ind.dim)
         copy_weights = (lambda w: LcfWeights(w.a, w.b)) if fresh else LcfWeights.copy
         if self.mode.mode != "U":
@@ -443,10 +443,13 @@ class Engine:
             for n in nodes:
                 if not any(n.weights.values_equal(w) for w in distinct):
                     distinct.append(n.weights)
+            if len(distinct) == 1 and all(n.weights is nodes[0].weights for n in nodes):
+                continue
+            shared = LcfWeights(*distinct[0].values())  # starts without iRprop state
+            for n in nodes:
+                n.weights = shared
             if len(distinct) == 1:
-                object_ids = {id(n.weights) for n in nodes}
-                if len(object_ids) > 1:
-                    self._rebind_group(ind, index, *distinct[0].values())
+                ind.weights_changed()
                 continue
             candidates = [w.values() for w in distinct]
             mean_a = sum(a for a, _ in candidates) / len(candidates)
@@ -454,20 +457,15 @@ class Engine:
             candidates.append((mean_a, mean_b))
             best, best_r2 = candidates[-1], -math.inf  # all invalid: adopt the mean
             for a, b in candidates:
-                self._rebind_group(ind, index, a, b)
+                shared.set_values(a, b)
+                ind.weights_changed()
                 r2 = self.evaluate(ind)
                 if r2 > best_r2:
                     best, best_r2 = (a, b), r2
-            self._rebind_group(ind, index, *best)
+            shared.set_values(*best)
+            ind.weights_changed()
             self.evaluate(ind)
         return ind
-
-    def _rebind_group(self, ind: Individual, index: int, a: float, b) -> None:
-        shared = LcfWeights(a, b)
-        for node in ind.lcf_nodes():
-            if node.index == index:
-                node.weights = shared
-        ind.weights_changed()
 
     # -- population level ------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -129,10 +129,12 @@ class LcfWeights:
 
 
 class Node:
-    """Base node type.  Nodes compare by identity; use :func:`trees_equal`
-    for structural comparison."""
+    """Base node type.  Nodes compare by identity; ``repr`` is :func:`format_tree`."""
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        return format_tree(self)
 
 
 class Func(Node):
@@ -147,18 +149,12 @@ class Func(Node):
         self.kind = kind
         self.children = children
 
-    def __repr__(self) -> str:
-        return format_tree(self)
-
 
 class Const(Node):
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
         self.value = float(value)
-
-    def __repr__(self) -> str:
-        return format_tree(self)
 
 
 class Var(Node):
@@ -170,9 +166,6 @@ class Var(Node):
         if index < 1:
             raise StructuralError("feature index must be >= 1")
         self.index = int(index)
-
-    def __repr__(self) -> str:
-        return format_tree(self)
 
 
 class Lcf(Node):
@@ -187,16 +180,13 @@ class Lcf(Node):
         self.index = int(index)
         self.weights = weights
 
-    def __repr__(self) -> str:
-        return format_tree(self)
-
 
 # ---------------------------------------------------------------------------
 # operator table
 #
 # One forward function per operator.  A tape names an operator by its opcode,
 # the position of its kind in ``Fn`` (the three binary kinds come first), and
-# dispatches through this table; :func:`apply_fn` is its public face.
+# dispatches through this table.
 
 
 _KINDS = list(Fn)
@@ -220,11 +210,6 @@ _FORWARD_BY_OP = tuple(FORWARD[kind] for kind in _KINDS)
 
 # leaf opcodes follow the operator opcodes
 OP_CONST, OP_VAR, OP_LCF = len(_KINDS), len(_KINDS) + 1, len(_KINDS) + 2
-
-
-def apply_fn(kind: Fn, args: list[np.ndarray]) -> np.ndarray:
-    """Apply one operator to already-evaluated child vectors."""
-    return FORWARD[kind](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +316,8 @@ def eval_batch(root: Node, X, gene: "Gene | None" = None) -> np.ndarray:
 # structural queries and edits
 
 
-def depth(root: Node) -> int:
-    """Edge count of the longest root-to-leaf path; a lone leaf has depth 0."""
-    return compile_tree(root)[2]
-
-
-def node_count(root: Node) -> int:
+def node_count(root: Node) -> int:  # read only by perfbench/tracing.py
     return len(compile_tree(root)[1])
-
-
-def iter_nodes(root: Node) -> Iterator[Node]:
-    """Pre-order walk."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Func):
-            stack.extend(reversed(node.children))
 
 
 def pick_node(rng, gene: "Gene") -> tuple[int, int]:
@@ -386,21 +356,6 @@ def replace_subtree(gene: "Gene", slot: int, sub: Node) -> Node:
     if not 0 <= slot < gene.node_count:
         raise StructuralError(f"slot {slot} is outside a {gene.node_count}-slot tape")
     return _rebuild(gene, {slot: sub})[-1]
-
-
-def trees_equal(a: Node, b: Node) -> bool:
-    """Structural equality, comparing constant values and LCF weight values."""
-    if isinstance(a, Func) and isinstance(b, Func):
-        return a.kind is b.kind and all(
-            trees_equal(x, y) for x, y in zip(a.children, b.children)
-        )
-    if isinstance(a, Const) and isinstance(b, Const):
-        return a.value == b.value
-    if isinstance(a, Var) and isinstance(b, Var):
-        return a.index == b.index
-    if isinstance(a, Lcf) and isinstance(b, Lcf):
-        return a.index == b.index and a.weights.values_equal(b.weights)
-    return False
 
 
 # ---------------------------------------------------------------------------

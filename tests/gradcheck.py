@@ -17,7 +17,6 @@ from mggp.exprtree import (
     Gene,
     TerminalConfig,
     eval_batch,
-    iter_nodes,
     random_tree,
 )
 from mggp.fitness import ols_fit
@@ -59,7 +58,7 @@ def fd_verifiable_cases(rng, count, d_max=3, n=16):
             continue
         ok = True
         for gene in ind.genes:
-            for node in iter_nodes(gene.root):
+            for node in gene.nodes:
                 if np.max(np.abs(eval_batch(node, X))) > 1e3:
                     ok = False
                 if isinstance(node, Func) and node.kind is Fn.SINC:

@@ -6,7 +6,6 @@ import pytest
 
 import mggp.backprop as bp
 from mggp.backprop import (
-    EvalTrace,
     GlobalWeightTable,
     GradientTable,
     RpropParams,
@@ -15,13 +14,12 @@ from mggp.backprop import (
     forward_trace,
     global_tune,
     irprop_minus_step,
-    local_derivative,
     tune,
 )
 from mggp.bench import Dataset
 from mggp.evolve import Individual
 from mggp.exprtree import (
-    Const,
+    FORWARD,
     Fn,
     Func,
     Gene,
@@ -29,9 +27,7 @@ from mggp.exprtree import (
     LcfWeights,
     TerminalConfig,
     Var,
-    apply_fn,
     eval_batch,
-    iter_nodes,
     random_tree,
 )
 from mggp.fitness import LinearModel, ols_fit, r_squared
@@ -73,6 +69,14 @@ class TestForwardTrace:
         assert trace.slots[gene][-1][0] == pytest.approx(1.0)
 
 
+def local_derivative(kind, child_values, child_index=0):
+    """d(output)/d(child ``child_index``) from the engine's two operator tables."""
+    x, *y = child_values
+    with np.errstate(all="ignore"):
+        out = FORWARD[kind](*child_values)
+        return bp.DERIVATIVE[kind](x, y[0] if y else None, out, child_index)
+
+
 class TestLocalDerivative:
     def test_sinc_derivative_zero_at_origin(self):
         d = local_derivative(Fn.SINC, [np.array([0.0])])
@@ -95,7 +99,7 @@ class TestLocalDerivative:
 
             def forward(vals):
                 args = [vals, others] if child_index == 0 else [others, vals]
-                return apply_fn(kind, args[: kind.arity])
+                return FORWARD[kind](*args[: kind.arity])
 
             def central(step):
                 return (forward(xs + step) - forward(xs - step)) / (2 * step)

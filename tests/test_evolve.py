@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from mggp import evolve
 from mggp.bench import Dataset, gen_sigmoid
 from mggp.errors import DegenerateDataError
 from mggp.evolve import (
@@ -20,11 +23,9 @@ from mggp.exprtree import (
     Lcf,
     LcfWeights,
     Var,
-    depth,
+    eval_batch,
     format_tree,
-    iter_nodes,
     parse_tree,
-    trees_equal,
 )
 
 
@@ -227,8 +228,8 @@ class TestHighLevelCrossover:
         p2 = self.build(engine, [Var(2)])
         engine.rng = StubRng(reals=[0.9, 0.9, 0.9])  # all above r_hlx=0.5 -> unselected
         o1, o2 = engine.high_level_xover(p1, p2)
-        assert [format_t(r) for r in genes_of(o1)] == [format_t(r) for r in genes_of(p1)]
-        assert [format_t(r) for r in genes_of(o2)] == [format_t(r) for r in genes_of(p2)]
+        assert [format_tree(r) for r in genes_of(o1)] == [format_tree(r) for r in genes_of(p1)]
+        assert [format_tree(r) for r in genes_of(o2)] == [format_tree(r) for r in genes_of(p2)]
 
     def test_full_swap_of_ten_gene_parents(self):
         engine = make_engine("baseline", seed=10)
@@ -299,12 +300,6 @@ class TestHighLevelCrossover:
             assert 1 <= len(o2.genes) <= 10
 
 
-def format_t(tree):
-    from mggp.exprtree import format_tree
-
-    return format_tree(tree)
-
-
 class TestLowLevelCrossover:
     def test_root_swap_exchanges_genes(self):
         engine = make_engine("baseline", seed=15)
@@ -313,8 +308,8 @@ class TestLowLevelCrossover:
         p2 = Individual([Gene(b)], 2)
         engine.rng = StubRng(ints=[0, 0, 0, 0])  # gene 0 each, pre-order index 0 = root
         o1, o2 = engine.low_level_xover(p1, p2)
-        assert trees_equal(o1.genes[0].root, b)
-        assert trees_equal(o2.genes[0].root, a)
+        assert format_tree(o1.genes[0].root) == format_tree(b)
+        assert format_tree(o2.genes[0].root) == format_tree(a)
 
     def test_depth_violation_reverts_offspring(self):
         engine = make_engine("baseline", seed=16)
@@ -329,8 +324,8 @@ class TestLowLevelCrossover:
         leaf = 11  # pre-order index: 11 sin nodes then the leaf
         engine.rng = StubRng(ints=[0, 0, leaf, 0])
         o1, o2 = engine.low_level_xover(p1, p2)
-        assert trees_equal(o1.genes[0].root, deep)  # reverted
-        assert trees_equal(o2.genes[0].root, Var(1))
+        assert format_tree(o1.genes[0].root) == format_tree(deep)  # reverted
+        assert format_tree(o2.genes[0].root) == format_tree(Var(1))
 
     def test_identical_subtrees_keep_parents(self):
         engine = make_engine("baseline", seed=17)
@@ -339,8 +334,8 @@ class TestLowLevelCrossover:
         p2 = Individual([Gene(Func(Fn.ADD, (Var(1), Var(2))))], 2)
         engine.rng = StubRng(ints=[0, 0, 1, 1])  # same leaf position in both
         o1, o2 = engine.low_level_xover(p1, p2)
-        assert trees_equal(o1.genes[0].root, tree)
-        assert trees_equal(o2.genes[0].root, tree)
+        assert format_tree(o1.genes[0].root) == format_tree(tree)
+        assert format_tree(o2.genes[0].root) == format_tree(tree)
 
 
 class TestMutations:
@@ -357,7 +352,7 @@ class TestMutations:
         ind = Individual([Gene(t) for t in trees], 2)
         out = engine.subtree_mutation(ind)
         same = [
-            trees_equal(a.root, b.root) for a, b in zip(ind.genes, out.genes)
+            format_tree(a.root) == format_tree(b.root) for a, b in zip(ind.genes, out.genes)
         ]
         assert sum(same) >= len(trees) - 1
 
@@ -380,15 +375,14 @@ class TestMutations:
         before = [1.0, 5.0]
         after = []
         for gene in out.genes:
-            for node in iter_nodes(gene.root):
+            for node in gene.nodes:
                 if isinstance(node, Const):
                     after.append(node.value)
         changed = sum(1 for a, b in zip(before, after) if a != b)
         assert changed == 1
         # structure unchanged
-        assert trees_equal(out.genes[0].root, ind.genes[0].root) or trees_equal(
-            out.genes[1].root, ind.genes[1].root
-        )
+        assert any(format_tree(a.root) == format_tree(b.root)
+                   for a, b in zip(out.genes, ind.genes))
 
     @pytest.mark.parametrize("k", range(5))
     def test_constant_mutation_draw_counts_constants_left_to_right(self, k):
@@ -398,7 +392,7 @@ class TestMutations:
         ind = Individual([Gene(Const(3.0)), Gene(tree), Gene(Var(2)), Gene(Const(4.0))], 2)
         engine.rng = StubRng(ints=[k], normals=[0.5])
         out = engine.constant_mutation(ind)
-        values = [n.value for g in out.genes for n in iter_nodes(g.root) if isinstance(n, Const)]
+        values = [n.value for g in out.genes for n in g.nodes if isinstance(n, Const)]
         expected = [3.0, 0.0, 1.0, 2.0, 4.0]
         expected[k] += 0.5 * np.sqrt(engine.cfg.var_cm)
         assert values == expected
@@ -433,7 +427,7 @@ class TestMutations:
         engine = make_engine("UM", seed=25)
         ind = Individual([Gene(Var(1))], 2)
         out = engine.weights_mutation(ind)
-        assert trees_equal(out.genes[0].root, ind.genes[0].root)
+        assert format_tree(out.genes[0].root) == format_tree(ind.genes[0].root)
 
     def test_weights_mutation_variance(self):
         engine = make_engine("UM", seed=26)
@@ -530,6 +524,23 @@ class TestCloning:
             assert np.array_equal(w.delta, old.delta) and w.delta is not old.delta
             assert f.delta is None and f.prev_grad is None
 
+    def test_a_clone_without_lcf_leaves_builds_nothing(self, monkeypatch):
+        calls = []
+
+        def counting_cache(fn):
+            calls.append(fn)
+            return functools.lru_cache(maxsize=None)(fn)
+
+        monkeypatch.setattr(evolve.functools, "cache", counting_cache)
+        plain = Individual([Gene(Func(Fn.SIN, (Var(1),))), Gene(Var(2))], 2)
+        for codename, detach in (("baseline", False), ("UB", False), ("SB", False), ("GB", True)):
+            clone = make_engine(codename, seed=44).clone_individual(plain, detach=detach)
+            assert clone is not plain and clone.genes is not plain.genes
+            assert all(c is g for c, g in zip(clone.genes, plain.genes))
+        assert calls == []
+        make_engine("SB", seed=44).clone_individual(s_mode_parent())
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("codename", ["UB", "SB", "GB"])
     def test_variation_leaves_the_parents_untouched(self, codename):
         engine = make_engine(codename, seed=42)
@@ -545,7 +556,10 @@ class TestCloning:
                 assert not any(id(w) in mine for o in offspring for w in o.weight_sets())
         for shot, trees in zip(shots, copies):
             assert_untouched(shot)
-            assert all(trees_equal(g.root, t) for g, t in zip(shot[0].genes, trees))
+            for g, t in zip(shot[0].genes, trees):
+                assert format_tree(g.root) == format_tree(t)
+                assert np.array_equal(eval_batch(g.root, engine.train.X),
+                                      eval_batch(t, engine.train.X), equal_nan=True)
 
     def test_graft_onto_itself_copies_each_leaf(self):
         engine = make_engine("SB", seed=43)
@@ -556,7 +570,7 @@ class TestCloning:
         o1, _ = engine.low_level_xover(parent, parent)
         assert_untouched(shot)
         sin = parent.genes[0].root.children[1]
-        assert format_t(o1.genes[0].root) == format_t(Func(Fn.ADD, (sin, sin)))
+        assert format_tree(o1.genes[0].root) == format_tree(Func(Fn.ADD, (sin, sin)))
         assert len(set(map(id, o1.genes[0].nodes))) == len(o1.genes[0].nodes)
         assert all(w.delta is None for w in o1.weight_sets())
 
@@ -587,6 +601,25 @@ class TestSyncRepair:
         assert nodes[0].weights is nodes[1].weights
         assert nodes[0].weights.values_equal(w1)
         assert engine.evaluations == evals_before
+
+    def test_binds_only_the_conflicting_group_and_fits_each_candidate_once(self):
+        engine = make_engine("SB", seed=33)
+        w1a, w1b = LcfWeights(0.5, [1.0, -2.0]), LcfWeights(-1.0, [0.0, 3.0])
+        w2 = LcfWeights(0.2, [0.3, 0.4])
+        w2.delta, w2.prev_grad = np.full(3, 0.1), np.ones(3)
+        ind = Individual([Gene(Func(Fn.ADD, (Lcf(1, w1a), Lcf(2, w2)))),
+                          Gene(Func(Fn.SIN, (Lcf(1, w1b),))),
+                          Gene(Func(Fn.MUL, (Lcf(1, w1a), Const(2.0))))], 2)
+        engine.evaluate(ind)
+        evals_before = engine.evaluations
+        engine.sync_repair(ind)
+        ones = [n.weights for n in ind.lcf_nodes() if n.index == 1]
+        assert [n.weights for n in ind.lcf_nodes() if n.index == 2] == [w2]
+        assert w2.delta is not None  # the lone set keeps its tuning state
+        assert len(ones) == 3 and all(w is ones[0] for w in ones)
+        assert ones[0] is not w1a and ones[0] is not w1b and ones[0].delta is None
+        # two candidates, their mean, and the refit of the adopted set
+        assert engine.evaluations == evals_before + 4
 
     def test_adopts_exact_fit_candidate(self):
         # dataset where w1 reproduces the target exactly, so repair must pick it

@@ -14,17 +14,13 @@ from mggp.exprtree import (
     LcfWeights,
     TerminalConfig,
     Var,
-    depth,
     eval_batch,
     format_tree,
-    iter_nodes,
-    node_count,
     parse_tree,
     pick_node,
     random_tree,
     logsig_is_increasing,
     replace_subtree,
-    trees_equal,
 )
 
 
@@ -134,15 +130,15 @@ class TestEval:
 
 class TestStructure:
     def test_depth_examples(self):
-        assert depth(Const(1.0)) == 0
-        assert depth(Func(Fn.ADD, (Var(1), Var(2)))) == 1
-        assert depth(Func(Fn.SIN, (Func(Fn.ADD, (Var(1), Const(0.0))),))) == 2
+        assert Gene(Const(1.0)).depth == 0
+        assert Gene(Func(Fn.ADD, (Var(1), Var(2)))).depth == 1
+        assert Gene(Func(Fn.SIN, (Func(Fn.ADD, (Var(1), Const(0.0))),))).depth == 2
 
     def test_node_count_examples(self):
-        assert node_count(Var(1)) == 1
-        assert node_count(Func(Fn.ADD, (Var(1), Const(0.0)))) == 3
+        assert Gene(Var(1)).node_count == 1
+        assert Gene(Func(Fn.ADD, (Var(1), Const(0.0)))).node_count == 3
         tree = Func(Fn.MUL, (Func(Fn.SIN, (Var(1),)), Lcf(1, LcfWeights.identity(1, 1))))
-        assert node_count(tree) == 4
+        assert Gene(tree).node_count == 4
 
     def test_replace_root(self):
         gene = Gene(Func(Fn.ADD, (Var(1), Var(2))))
@@ -153,10 +149,10 @@ class TestStructure:
         tree = Func(Fn.ADD, (Var(1), Var(2)))
         gene = Gene(tree)
         out = replace_subtree(gene, 0, Const(5.0))
-        assert trees_equal(out, Func(Fn.ADD, (Const(5.0), Var(2))))
+        assert format_tree(out) == "(add (const 5.0) (var 2))"
         assert out.children[1] is tree.children[1]
         out = replace_subtree(gene, 1, Const(5.0))
-        assert trees_equal(out, Func(Fn.ADD, (Var(1), Const(5.0))))
+        assert format_tree(out) == "(add (var 1) (const 5.0))"
         assert out.children[0] is tree.children[0]
 
     def test_stale_locator_raises(self):
@@ -191,7 +187,9 @@ class TestStructure:
         gene = Gene(tree)
         picks = [pick_node(Draw(k), gene) for k in range(gene.node_count)]
         assert picks == [(5, 0), (1, 1), (0, 2), (4, 1), (2, 2), (3, 2)]
-        assert [gene.nodes[slot] for slot, _ in picks] == list(iter_nodes(tree))
+        sin, add = tree.children
+        preorder = [tree, sin, sin.children[0], add, *add.children]
+        assert [gene.nodes[slot] for slot, _ in picks] == preorder
 
     def test_caches_match_naive_recomputation_after_edits(self):
         def naive_depth(node):
@@ -219,18 +217,18 @@ class TestStructure:
         w = LcfWeights(1.5, [2.0, 0.0])
         tree = Func(Fn.ADD, (Lcf(1, w), Lcf(1, w)))
         cp = Gene(tree).copy(functools.cache(LcfWeights.copy)).root
-        leaves = [n for n in iter_nodes(cp) if isinstance(n, Lcf)]
+        leaves = Gene(cp).lcf_leaves()
         assert leaves[0].weights is leaves[1].weights
         assert leaves[0].weights is not w
         assert leaves[0].weights.values_equal(w)
-        assert trees_equal(cp, tree) and cp is not tree
+        assert format_tree(cp) == format_tree(tree) and cp is not tree
 
     def test_gene_copy_calls_copy_weights_once_per_leaf(self):
         w = LcfWeights(1.5, [2.0, 0.0])
         tree = Func(Fn.ADD, (Lcf(1, w), Func(Fn.SIN, (Lcf(1, w),))))
         seen = []
         cp = Gene(tree).copy(lambda old: seen.append(old) or old.copy()).root
-        first, second = (n for n in iter_nodes(cp) if isinstance(n, Lcf))
+        first, second = Gene(cp).lcf_leaves()
         assert seen == [w, w]
         assert first.weights is not second.weights
         assert first.weights.values_equal(w) and second.weights.values_equal(w)
@@ -242,7 +240,7 @@ class TestRandomTree:
         tc = TerminalConfig(dim=2, use_lcf=True)
         for _ in range(50):
             tree = random_tree(rng, 0, "grow", tc)
-            assert depth(tree) == 0
+            assert Gene(tree).depth == 0
 
     def test_full_places_all_leaves_at_max_depth(self):
         rng = np.random.default_rng(1)
@@ -259,7 +257,7 @@ class TestRandomTree:
         rng = np.random.default_rng(2)
         tc = TerminalConfig(dim=3, use_lcf=True)
         for _ in range(200):
-            assert depth(random_tree(rng, 4, "grow", tc)) <= 4
+            assert Gene(random_tree(rng, 4, "grow", tc)).depth <= 4
 
     def test_every_kind_and_leaf_variant_appears(self):
         rng = np.random.default_rng(4)
@@ -268,7 +266,7 @@ class TestRandomTree:
         seen_leaves = set()
         for _ in range(10_000):
             tree = random_tree(rng, 3, "grow", tc)
-            for node in iter_nodes(tree):
+            for node in Gene(tree).nodes:
                 if isinstance(node, Func):
                     seen_fns.add(node.kind)
                 else:
@@ -281,16 +279,15 @@ class TestRandomTree:
         tc = TerminalConfig(dim=2, use_lcf=False)
         for _ in range(500):
             tree = random_tree(rng, 4, "grow", tc)
-            assert not any(isinstance(n, Lcf) for n in iter_nodes(tree))
+            assert not any(isinstance(n, Lcf) for n in Gene(tree).nodes)
 
     def test_new_lcf_leaves_start_as_identity(self):
         rng = np.random.default_rng(8)
         tc = TerminalConfig(dim=3, use_lcf=True)
         for _ in range(300):
             tree = random_tree(rng, 3, "grow", tc)
-            for node in iter_nodes(tree):
-                if isinstance(node, Lcf):
-                    assert node.weights.is_identity_for(node.index)
+            for node in Gene(tree).lcf_leaves():
+                assert node.weights.is_identity_for(node.index)
 
 
 class TestIdentities:
@@ -319,17 +316,18 @@ class TestSerialisation:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(12)
         tc = TerminalConfig(dim=3, use_lcf=True)
+        X = np.random.default_rng(13).uniform(-3, 3, size=(16, 3))
         for _ in range(100):
             tree = random_tree(rng, 5, "grow", tc)
             # perturb some weights so non-identity forms get exercised
-            for node in iter_nodes(tree):
-                if isinstance(node, Lcf) and rng.random() < 0.5:
+            for node in Gene(tree).lcf_leaves():
+                if rng.random() < 0.5:
                     node.weights.a += rng.normal()
                     node.weights.b += rng.normal(size=3)
             text = format_tree(tree)
             back = parse_tree(text, dim=3)
-            assert trees_equal(tree, back)
             assert format_tree(back) == text
+            assert np.array_equal(eval_batch(back, X), eval_batch(tree, X), equal_nan=True)
 
     def test_parse_rejects_garbage(self):
         for bad in ["", "(frob 1)", "(add (var 1))", "(var 1) extra", "(const x)"]:

@@ -10,7 +10,6 @@ from mggp.stats import (
     _exact_p,
     _midranks,
     _normal_p,
-    ComparisonResult,
     bonferroni,
     compare_vs_baseline,
     mann_whitney_u,

@@ -27,11 +27,10 @@ from mggp.exprtree import (
     TerminalConfig,
     Var,
     eval_batch,
-    iter_nodes,
+    format_tree,
     pick_node,
     random_tree,
     replace_subtree,
-    trees_equal,
 )
 from mggp.fitness import LinearModel
 
@@ -169,7 +168,7 @@ def test_fuzz_covers_every_operator_and_leaf_kind():
     shared = False
     for gene in genes:
         seen = set()
-        for node in iter_nodes(gene.root):
+        for node in gene.nodes:
             if isinstance(node, Func):
                 kinds.add(node.kind)
             else:
@@ -262,7 +261,7 @@ def test_backward_with_the_same_gene_object_twice():
 def test_structural_measures_come_from_one_walk():
     genes, _ = fuzzed_genes(5, 100)
     for gene in genes:
-        nodes = list(iter_nodes(gene.root))
+        nodes = [node for _, node in ref_iter_paths(gene.root)]  # pre-order
         assert gene.node_count == len(nodes) == len(gene.nodes)
         assert set(map(id, gene.nodes)) == set(map(id, nodes))
         assert gene.has_lcf == any(isinstance(n, Lcf) for n in nodes)
@@ -377,7 +376,7 @@ def test_replace_subtree_matches_the_path_edit_and_shares_the_rest():
             sub = random_tree(rng, int(rng.integers(0, 3)), "grow", tc)
             path = slot_paths[slot]
             out = replace_subtree(gene, int(slot), sub)
-            assert trees_equal(out, ref_replace_subtree(gene.root, path, sub))
+            assert format_tree(out) == format_tree(ref_replace_subtree(gene.root, path, sub))
             new, old = out, gene.root
             for i in path:  # off the edited path every subtree is the original's
                 assert all(a is b for k, (a, b) in enumerate(zip(new.children, old.children))
@@ -403,7 +402,7 @@ def test_gene_copy_reuses_the_tape_and_copies_the_lcf_leaves(shared):
         new_set = functools.cache(LcfWeights.copy) if shared else (lambda w: fresh_set(w, seen))
         ref_set = functools.cache(LcfWeights.copy) if shared else (lambda w: fresh_set(w, ref_seen))
         copy = gene.copy(new_set)
-        assert trees_equal(copy.root, ref_copy_tree(gene.root, ref_set))
+        assert format_tree(copy.root) == format_tree(ref_copy_tree(gene.root, ref_set))
         assert seen == ref_seen  # once per leaf, left to right
         fresh = Gene(copy.root)
         assert copy.program is gene.program and copy.program == fresh.program
