@@ -47,11 +47,11 @@ class Dataset:
         return self.X.shape[1]
 
 
-def rotation_matrix(d: int, angle: float = math.pi / 4) -> np.ndarray:
-    """Product of Givens rotations over all axis pairs ``(i, j)``, ``i < j``,
-    in lexicographic order, applied left to right."""
+def rotation_matrix(d: int) -> np.ndarray:
+    """Product of pi/4 Givens rotations over all axis pairs ``(i, j)``,
+    ``i < j``, in lexicographic order, applied left to right."""
     R = np.eye(d)
-    c, s = math.cos(angle), math.sin(angle)
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     for i in range(d):
         for j in range(i + 1, d):
             g = np.eye(d)
@@ -212,12 +212,11 @@ def load_csv(path, target=-1, header: bool = False, name: str | None = None,
     )
 
 
-def save_csv(data: Dataset, path, header: bool = True) -> None:
-    """Write a dataset with the target as the last column.  Values are
-    written with repr so a reload reproduces them bit-exactly."""
+def save_csv(data: Dataset, path) -> None:
+    """Write a dataset with a header row and the target as the last column.
+    Values are written with repr so a reload reproduces them bit-exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"x{i + 1}" for i in range(data.dim)] + ["target"])
+        writer.writerow([f"x{i + 1}" for i in range(data.dim)] + ["target"])
         for row, target in zip(data.X, data.y):
             writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])

@@ -20,7 +20,6 @@ import dataclasses
 import json
 import os
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -215,7 +214,6 @@ def _cmd_run(args) -> int:
                 print(f"{mode.codename} seed={seed} {ds_name}: already recorded, skipped")
                 continue
             train, test = dataset_for_run(seed, i)
-            started = time.perf_counter()
             result = run_engine(cfg, mode, train, test, budget, seed)
             record = RunRecord(
                 codename=mode.codename,
@@ -227,7 +225,7 @@ def _cmd_run(args) -> int:
                 lcf_ratio=result.lcf_ratio,
                 mean_depth=result.mean_depth,
                 generations=result.generations,
-                wall_time_s=time.perf_counter() - started,
+                wall_time_s=result.wall_time_s,
                 history=[list(h) for h in result.history],
                 best_genes=result.best_genes,
                 best_coeffs=_best_coeffs(result),

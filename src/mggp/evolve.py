@@ -1,6 +1,6 @@
 """Generational multi-gene GP engine.
 
-Individuals hold 1..G_max gene trees combined by a least-squares top-level
+Individuals hold 1..G_MAX gene trees combined by a least-squares top-level
 model.  Variation follows the classic recipe: tournament selection,
 elitism, whole-gene (high-level) and subtree (low-level) crossover, and
 subtree / constant / LCF-weights mutations, with event probabilities drawn
@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitness as _fitness
-from .backprop import (
-    GlobalWeightTable,
-    StepBudget,
-    global_tune,
-    tune,
-)
+from .backprop import GlobalWeightTable, global_tune, tune
 from .errors import DataError, DegenerateDataError
 from .exprtree import (
     Gene,
@@ -47,8 +42,22 @@ from .exprtree import (
     Const,
 )
 
-_CODENAME_MODES = {"U", "S", "G"}
-_CODENAME_TUNINGS = {"M", "B", "C"}
+# The paper's fixed MGGP settings, shared by every run.
+G_MAX = 10  # genes per individual
+PR_X = 0.84  # crossover event
+PR_M = 0.14  # mutation event; reproduction otherwise
+PR_HLX = 0.2  # a crossover swaps whole genes; subtrees otherwise
+R_HLX = 0.5  # each gene's chance to move in a high-level crossover
+PR_CM = 0.05  # a mutation offsets a constant
+VAR_CM = 0.1  # variance of that offset
+PR_WM = 0.05  # a mutation offsets LCF weights, with tuning M or C
+VAR_WM = 3.0  # variance of that offset
+
+# The paper's nine configurations: codename -> (mode, tuning).
+CONFIGS = {"baseline": ("baseline", "none"),
+           "UM": ("U", "M"), "UB": ("U", "B"), "UC": ("U", "C"),
+           "SM": ("S", "M"), "SB": ("S", "B"), "SC": ("S", "C"),
+           "GB": ("G", "B"), "GC": ("G", "C")}
 
 
 @dataclass(frozen=True)
@@ -59,16 +68,8 @@ class ModeConfig:
     tuning: str = "none"  # none | M | B | C
 
     def __post_init__(self) -> None:
-        if self.mode not in ("baseline", "U", "S", "G"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.tuning not in ("none", "M", "B", "C"):
-            raise ValueError(f"unknown tuning {self.tuning!r}")
-        if self.mode == "baseline" and self.tuning != "none":
-            raise ValueError("baseline admits no tuning method")
-        if self.mode == "G" and self.tuning not in ("B", "C"):
-            raise ValueError("globally synchronised weights require gradient tuning")
-        if self.mode != "baseline" and self.tuning == "none":
-            raise ValueError(f"mode {self.mode} needs a tuning method (M, B or C)")
+        if (self.mode, self.tuning) not in CONFIGS.values():
+            raise ValueError(f"no configuration has mode {self.mode!r} and tuning {self.tuning!r}")
 
     @property
     def uses_lcf(self) -> bool:
@@ -80,7 +81,7 @@ class ModeConfig:
 
     @property
     def uses_weights_mutation(self) -> bool:
-        return self.uses_lcf and self.tuning in ("M", "C")
+        return self.tuning in ("M", "C")
 
     @property
     def codename(self) -> str:
@@ -89,67 +90,36 @@ class ModeConfig:
     @classmethod
     def from_codename(cls, name: str) -> "ModeConfig":
         label = name.strip()
-        if label.lower() in ("baseline", "--"):
-            return cls()
-        label = label.upper()
-        if len(label) == 2 and label[0] in _CODENAME_MODES and label[1] in _CODENAME_TUNINGS:
-            return cls(mode=label[0], tuning=label[1])
-        raise ValueError(
-            f"unknown codename {name!r}; expected baseline or one of "
-            "UM UB UC SM SB SC GB GC"
-        )
+        label = "baseline" if label.lower() in ("baseline", "--") else label.upper()
+        if label not in CONFIGS:
+            raise ValueError(f"unknown codename {name!r}; expected one of {', '.join(CONFIGS)}")
+        return cls(*CONFIGS[label])
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """All engine parameters.  Defaults are the standard-run values; use
-    :meth:`for_mode` to apply the reduced population/tournament/elite sizes
+    """The engine parameters that callers vary, at their standard-run values;
+    :meth:`for_mode` applies the reduced population/tournament/elite sizes
     that gradient-tuned configurations run with."""
 
-    g_max: int = 10
-    n_max: float = math.inf
     d_max: int = 11
     pop_size: int = 100
     tournament: int = 10
     elite: int = 15
-    pr_x: float = 0.84
-    pr_m: float = 0.14
-    pr_hlx: float = 0.2
-    r_hlx: float = 0.5
-    pr_cm: float = 0.05
-    var_cm: float = 0.1
-    pr_wm: float = 0.0
-    var_wm: float = 3.0
-    bp_steps: int = 25
-    bp_min: int = 2
-    global_steps: int = 2
     init_depth_min: int = 2
     init_depth_max: int = 6
-    const_low: float = -10.0
-    const_high: float = 10.0
 
     def __post_init__(self) -> None:
         if not 0 < self.elite < self.pop_size:
             raise ValueError("need 0 < elite < pop_size")
-        for p in (self.pr_x, self.pr_m, self.pr_hlx, self.r_hlx, self.pr_cm, self.pr_wm):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
-        if self.pr_x + self.pr_m > 1.0:
-            raise ValueError("pr_x + pr_m must not exceed 1")
-        if self.pr_cm + self.pr_wm > 1.0:
-            raise ValueError("pr_cm + pr_wm must not exceed 1")
-        if self.g_max < 1 or self.d_max < 0 or self.tournament < 1:
-            raise ValueError("g_max, d_max and tournament must be positive")
+        if self.d_max < 0 or self.tournament < 1:
+            raise ValueError("d_max and tournament must be positive")
         if not 0 <= self.init_depth_min <= self.init_depth_max <= self.d_max:
             raise ValueError("need 0 <= init_depth_min <= init_depth_max <= d_max")
 
     @classmethod
     def for_mode(cls, mode: ModeConfig, **overrides) -> "EngineConfig":
-        values = {}
-        if mode.uses_backprop:
-            values.update(pop_size=50, tournament=5, elite=8)
-        if mode.uses_weights_mutation:
-            values["pr_wm"] = 0.05
+        values = dict(pop_size=50, tournament=5, elite=8) if mode.uses_backprop else {}
         values.update(overrides)
         return cls(**values)
 
@@ -205,27 +175,27 @@ class Individual:
         return f"Individual({len(self.genes)} genes, {self.total_nodes()} nodes)"
 
 
-def draw_event(rng, cfg: EngineConfig) -> str:
+def draw_event(rng) -> str:
     """One offspring-slot event: crossover, mutation or reproduction."""
     r = rng.random()
-    if r < cfg.pr_x:
+    if r < PR_X:
         return "crossover"
-    if r < cfg.pr_x + cfg.pr_m:
+    if r < PR_X + PR_M:
         return "mutation"
     return "reproduction"
 
 
-def draw_mutation_kind(rng, cfg: EngineConfig) -> str:
+def draw_mutation_kind(rng, pr_wm: float) -> str:
     r = rng.random()
-    if r < cfg.pr_wm:
+    if r < pr_wm:
         return "weights"
-    if r < cfg.pr_wm + cfg.pr_cm:
+    if r < pr_wm + PR_CM:
         return "constant"
     return "subtree"
 
 
-def draw_crossover_kind(rng, cfg: EngineConfig) -> str:
-    return "high" if rng.random() < cfg.pr_hlx else "low"
+def draw_crossover_kind(rng) -> str:
+    return "high" if rng.random() < PR_HLX else "low"
 
 
 class Engine:
@@ -240,17 +210,11 @@ class Engine:
         self.mode = mode
         self.train = train
         self.rng = rng
-        self.budget = StepBudget(cfg.bp_steps, cfg.bp_min)
+        self.pr_wm = PR_WM if mode.uses_weights_mutation else 0.0
         self.table = GlobalWeightTable(train.dim) if mode.mode == "G" else None
         self.evaluations = 0
         lcf_factory = self.table.lookup if self.table is not None else None
-        self.terminals = TerminalConfig(
-            dim=train.dim,
-            use_lcf=mode.uses_lcf,
-            const_low=cfg.const_low,
-            const_high=cfg.const_high,
-            lcf_weights=lcf_factory,
-        )
+        self.terminals = TerminalConfig(train.dim, mode.uses_lcf, lcf_factory)
 
     # -- evaluation ---------------------------------------------------
 
@@ -322,12 +286,12 @@ class Engine:
 
     def high_level_xover(self, p1: Individual, p2: Individual) -> tuple[Individual, Individual]:
         """Swap whole genes: each gene is selected with probability
-        ``r_hlx`` and moves to the other offspring; incoming genes that
-        would exceed ``g_max`` are discarded in random order, and an
+        ``R_HLX`` and moves to the other offspring; incoming genes that
+        would exceed ``G_MAX`` are discarded in random order, and an
         emptied offspring retains one uniformly chosen gene of its
         originating parent."""
-        sel1 = self.rng.random(len(p1.genes)) < self.cfg.r_hlx
-        sel2 = self.rng.random(len(p2.genes)) < self.cfg.r_hlx
+        sel1 = self.rng.random(len(p1.genes)) < R_HLX
+        sel2 = self.rng.random(len(p2.genes)) < R_HLX
         own1 = [g for g, s in zip(p1.genes, sel1) if not s]
         move1 = [g for g, s in zip(p1.genes, sel1) if s]
         own2 = [g for g, s in zip(p2.genes, sel2) if not s]
@@ -338,7 +302,7 @@ class Engine:
 
     def _assemble_offspring(self, own: list[Gene], incoming: list[Gene],
                             origin: Individual) -> Individual:
-        room = self.cfg.g_max - len(own)
+        room = G_MAX - len(own)
         if len(incoming) > room:
             order = self.rng.permutation(len(incoming))
             incoming = [incoming[int(i)] for i in sorted(order[:room])]
@@ -349,8 +313,8 @@ class Engine:
 
     def low_level_xover(self, p1: Individual, p2: Individual) -> tuple[Individual, Individual]:
         """Koza subtree swap between one uniformly chosen gene of each
-        parent; an offspring whose new gene would break the depth or size
-        limit reverts to its parent."""
+        parent; an offspring whose new gene would break the depth limit
+        reverts to its parent."""
         i1 = int(self.rng.integers(len(p1.genes)))
         i2 = int(self.rng.integers(len(p2.genes)))
         g1, g2 = p1.genes[i1], p2.genes[i2]
@@ -363,10 +327,10 @@ class Engine:
     def _graft(self, parent: Individual, gi: int, slot: int, sub) -> Individual:
         """A fresh copy of ``parent`` whose gene ``gi`` holds ``sub`` at tape
         slot ``slot``, or of ``parent`` unchanged when the new gene would
-        break the depth or size limit."""
+        break the depth limit."""
         genes = list(parent.genes)
         gene = Gene(replace_subtree(genes[gi], slot, sub))
-        if gene.depth <= self.cfg.d_max and gene.node_count <= self.cfg.n_max:
+        if gene.depth <= self.cfg.d_max:
             genes[gi] = gene
         return self.clone_individual(Individual(genes, parent.dim), fresh=True)
 
@@ -380,14 +344,14 @@ class Engine:
 
     def constant_mutation(self, ind: Individual) -> Individual:
         """Offset one uniformly chosen constant leaf by a draw from
-        N(0, var_cm); falls back to subtree mutation when the individual
+        N(0, VAR_CM); falls back to subtree mutation when the individual
         has no constant leaves."""
         spots = [(gi, slot) for gi, gene in enumerate(ind.genes)
                  for slot, node in enumerate(gene.nodes) if isinstance(node, Const)]
         if not spots:
             return self.subtree_mutation(ind)
         gi, slot = spots[int(self.rng.integers(len(spots)))]
-        delta = self.rng.normal(0.0, math.sqrt(self.cfg.var_cm))
+        delta = self.rng.normal(0.0, math.sqrt(VAR_CM))
         genes = list(ind.genes)
         value = genes[gi].nodes[slot].value
         genes[gi] = Gene(replace_subtree(genes[gi], slot, Const(value + delta)))
@@ -395,7 +359,7 @@ class Engine:
 
     def weights_mutation(self, ind: Individual) -> Individual:
         """Offset every weight of one LCF node (U mode) or one whole index
-        group (S and G modes) by i.i.d. draws from N(0, var_wm).  In G mode
+        group (S and G modes) by i.i.d. draws from N(0, VAR_WM).  In G mode
         the offset lands on the shared global set and is therefore seen by
         the entire population.  No-op without LCF leaves."""
         if not self.mode.uses_lcf:
@@ -410,7 +374,7 @@ class Engine:
             indices = sorted({n.index for n in lcfs})
             index = indices[int(self.rng.integers(len(indices)))]
             targets = dict.fromkeys(n.weights for n in lcfs if n.index == index)
-        offset = self.rng.normal(0.0, math.sqrt(self.cfg.var_wm), size=1 + o.dim)
+        offset = self.rng.normal(0.0, math.sqrt(VAR_WM), size=1 + o.dim)
         for w in targets:
             w.a += offset[0]
             w.b += offset[1:]
@@ -472,11 +436,11 @@ class Engine:
     def init_population(self) -> list[Individual]:
         """Ramped half-and-half initialisation: per gene, a uniform depth
         in [init_depth_min, init_depth_max] and a fair grow/full choice;
-        gene counts uniform in 1..g_max.  Fresh LCF leaves start as the
+        gene counts uniform in 1..G_MAX.  Fresh LCF leaves start as the
         identity transform of their own index."""
         pop = []
         for _ in range(self.cfg.pop_size):
-            n_genes = int(self.rng.integers(1, self.cfg.g_max + 1))
+            n_genes = int(self.rng.integers(1, G_MAX + 1))
             genes = []
             for _ in range(n_genes):
                 tree_depth = int(
@@ -502,11 +466,11 @@ class Engine:
         need = cfg.pop_size - cfg.elite
         offspring: list[Individual] = []
         while len(offspring) < need:
-            event = draw_event(self.rng, cfg)
+            event = draw_event(self.rng)
             if event == "crossover":
                 p1 = self.tournament_select(pop)
                 p2 = self.tournament_select(pop)
-                if draw_crossover_kind(self.rng, cfg) == "high":
+                if draw_crossover_kind(self.rng) == "high":
                     pair = self.high_level_xover(p1, p2)
                 else:
                     pair = self.low_level_xover(p1, p2)
@@ -516,7 +480,7 @@ class Engine:
                     batch = [pair[int(self.rng.integers(2))]]
             elif event == "mutation":
                 parent = self.tournament_select(pop)
-                kind = draw_mutation_kind(self.rng, cfg)
+                kind = draw_mutation_kind(self.rng, self.pr_wm)
                 if kind == "weights":
                     batch = [self.weights_mutation(parent)]
                 elif kind == "constant":
@@ -531,10 +495,10 @@ class Engine:
             offspring.extend(batch)
         if self.mode.uses_backprop and self.mode.mode in ("U", "S"):
             for child in offspring:
-                tune(child, self.train, self.budget)
+                tune(child, self.train)
         new_pop = list(elites) + offspring
         if self.mode.mode == "G":
-            global_tune(new_pop, self.table, self.train, cfg.global_steps)
+            global_tune(new_pop, self.table, self.train)
         for ind in new_pop:  # fit the offspring; in G mode refit all at the new epoch
             self.evaluate(ind)
         return new_pop
@@ -557,6 +521,8 @@ class RunBudget:
             raise ValueError("set max_generations and/or max_seconds")
         if self.max_generations is not None and self.max_generations < 0:
             raise ValueError("max_generations must be >= 0")
+        if self.max_seconds is not None and self.max_seconds < 0:
+            raise ValueError("max_seconds must be >= 0")
 
 
 @dataclass

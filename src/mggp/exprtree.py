@@ -362,6 +362,9 @@ def replace_subtree(gene: "Gene", slot: int, sub: Node) -> Node:
 # random generation
 
 
+CONST_RANGE = (-10.0, 10.0)  # a random constant leaf is uniform on this interval
+
+
 @dataclass(frozen=True)
 class TerminalConfig:
     """Leaf sampling policy for random tree generation.
@@ -375,8 +378,6 @@ class TerminalConfig:
 
     dim: int
     use_lcf: bool = False
-    const_low: float = -10.0
-    const_high: float = 10.0
     lcf_weights: Callable[[int], LcfWeights] | None = None
 
     def new_lcf(self, index: int) -> Lcf:
@@ -404,7 +405,7 @@ def _random_leaf(rng, terminals: TerminalConfig, which: int | None = None) -> No
     if which is None:
         which = int(rng.integers(n_leaf))
     if which == 0:
-        return Const(rng.uniform(terminals.const_low, terminals.const_high))
+        return Const(rng.uniform(*CONST_RANGE))
     index = int(rng.integers(1, terminals.dim + 1))
     if which == 1:
         return Var(index)

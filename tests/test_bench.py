@@ -25,6 +25,10 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset("x", np.array([[1.0], [np.inf]]), np.array([1.0, 2.0]))
 
+    def test_one_sample_rejected(self):
+        with pytest.raises(DataError, match="a dataset needs at least 2 samples"):
+            Dataset("x", np.zeros((1, 2)), np.zeros(1))
+
     def test_constant_target_rejected_for_training(self):
         X = np.zeros((4, 1))
         with pytest.raises(DegenerateDataError):
@@ -168,6 +172,19 @@ class TestCsv:
         assert np.array_equal(data.y, [1.0, 3.0])
         with pytest.raises(DataError):
             load_csv(p, target="zz", header=True)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "x1,target\n"])
+    def test_no_data_rows_rejected(self, tmp_path, text):
+        p = tmp_path / "empty.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(p, header=True)
+
+    def test_target_name_without_header_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(DataError, match="selecting the target by name requires a header row"):
+            load_csv(p, target="target")
 
     def test_header_is_the_first_non_empty_row(self, tmp_path):
         p = tmp_path / "blank.csv"

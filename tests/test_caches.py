@@ -57,7 +57,7 @@ def test_private_weight_changes_void_the_caches(codename):
         engine = make_engine(codename, seed)
         pop = warmed_population(engine)
         for ind in pop:
-            tune(ind, engine.train, engine.budget)
+            tune(ind, engine.train)
             assert_fresh(engine, [ind])
             child = engine.weights_mutation(ind)
             assert_fresh(engine, [child, ind])

@@ -175,6 +175,13 @@ class TestRun:
         assert "--runs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--generations", "--seconds"])
+    def test_a_zero_budget_is_a_data_error_and_creates_nothing(self, tmp_path, capsys, flag):
+        out = tmp_path / "records"
+        assert main(["run", "--dataset", "s2d", flag, "0", "--out", str(out)]) == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_rerun_adds_only_the_runs_not_yet_recorded(self, tmp_path, capsys):
         out = tmp_path / "records"
         run_small(tmp_path, runs=2, out=out)
@@ -281,6 +288,12 @@ class TestReport:
     def test_empty_records_is_data_error(self, tmp_path):
         (tmp_path / "records.jsonl").write_text("")
         assert main(["report", str(tmp_path)]) == 2
+
+    def test_a_missing_path_is_a_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        assert main(["report", str(missing)]) == 2
+        assert f"no records at {missing}" in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_truncated_last_line_is_skipped_with_a_warning(self, tmp_path, capsys):
         path = run_small(tmp_path, runs=2)

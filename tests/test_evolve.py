@@ -5,8 +5,12 @@ import pytest
 
 from mggp import evolve
 from mggp.bench import Dataset, gen_sigmoid
-from mggp.errors import DegenerateDataError
+from mggp.errors import DataError, DegenerateDataError
 from mggp.evolve import (
+    CONFIGS,
+    G_MAX,
+    VAR_CM,
+    VAR_WM,
     Engine,
     EngineConfig,
     Individual,
@@ -74,7 +78,8 @@ class StubRng:
 
 class TestModeConfig:
     def test_codenames_round_trip(self):
-        for name in ["baseline", "UM", "UB", "UC", "SM", "SB", "SC", "GB", "GC"]:
+        assert list(CONFIGS) == ["baseline", "UM", "UB", "UC", "SM", "SB", "SC", "GB", "GC"]
+        for name in CONFIGS:
             assert ModeConfig.from_codename(name).codename == name
         assert ModeConfig.from_codename("--").codename == "baseline"
 
@@ -85,6 +90,22 @@ class TestModeConfig:
             ModeConfig(mode="baseline", tuning="B")
         with pytest.raises(ValueError):
             ModeConfig.from_codename("XB")
+        for mode in ("baseline", "U", "S", "G"):
+            for tuning in ("none", "M", "B", "C"):
+                if (mode, tuning) not in CONFIGS.values():
+                    with pytest.raises(ValueError, match="no configuration has mode"):
+                        ModeConfig(mode, tuning)
+
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(elite=0), "need 0 < elite < pop_size"),
+        (dict(elite=20), "need 0 < elite < pop_size"),
+        (dict(elite=21), "need 0 < elite < pop_size"),
+        (dict(tournament=0), "d_max and tournament must be positive"),
+        (dict(d_max=-1), "d_max and tournament must be positive"),
+    ])
+    def test_bad_sizes_are_refused(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            EngineConfig(**{"pop_size": 20, "elite": 2, "tournament": 3, **sizes})
 
     def test_backprop_codenames_get_reduced_sizes(self):
         for name in ["UB", "UC", "SB", "SC", "GB", "GC"]:
@@ -95,10 +116,10 @@ class TestModeConfig:
             assert (cfg.pop_size, cfg.tournament, cfg.elite) == (100, 10, 15)
 
     def test_weights_mutation_probability_by_tuning(self):
-        assert EngineConfig.for_mode(ModeConfig.from_codename("UM")).pr_wm == 0.05
-        assert EngineConfig.for_mode(ModeConfig.from_codename("UC")).pr_wm == 0.05
-        assert EngineConfig.for_mode(ModeConfig.from_codename("UB")).pr_wm == 0.0
-        assert EngineConfig.for_mode(ModeConfig.from_codename("baseline")).pr_wm == 0.0
+        assert make_engine("UM").pr_wm == 0.05
+        assert make_engine("UC").pr_wm == 0.05
+        assert make_engine("UB").pr_wm == 0.0
+        assert make_engine("baseline").pr_wm == 0.0
 
     @pytest.mark.parametrize("depths", [
         dict(d_max=3),  # the default init_depth_max, 6, is above it
@@ -136,7 +157,7 @@ class TestInitPopulation:
         pop = engine.init_population()
         assert len(pop) == engine.cfg.pop_size
         for ind in pop:
-            assert 1 <= len(ind.genes) <= engine.cfg.g_max
+            assert 1 <= len(ind.genes) <= G_MAX
             for gene in ind.genes:
                 assert gene.depth <= 6
 
@@ -226,7 +247,7 @@ class TestHighLevelCrossover:
         engine = make_engine("baseline", seed=9)
         p1 = self.build(engine, [Var(1), Const(1.0)])
         p2 = self.build(engine, [Var(2)])
-        engine.rng = StubRng(reals=[0.9, 0.9, 0.9])  # all above r_hlx=0.5 -> unselected
+        engine.rng = StubRng(reals=[0.9, 0.9, 0.9])  # all above R_HLX=0.5 -> unselected
         o1, o2 = engine.high_level_xover(p1, p2)
         assert [format_tree(r) for r in genes_of(o1)] == [format_tree(r) for r in genes_of(p1)]
         assert [format_tree(r) for r in genes_of(o2)] == [format_tree(r) for r in genes_of(p2)]
@@ -394,7 +415,7 @@ class TestMutations:
         out = engine.constant_mutation(ind)
         values = [n.value for g in out.genes for n in g.nodes if isinstance(n, Const)]
         expected = [3.0, 0.0, 1.0, 2.0, 4.0]
-        expected[k] += 0.5 * np.sqrt(engine.cfg.var_cm)
+        expected[k] += 0.5 * np.sqrt(VAR_CM)
         assert values == expected
 
     def test_constant_mutation_without_constants_falls_back(self):
@@ -412,7 +433,7 @@ class TestMutations:
             out = engine.constant_mutation(ind)
             deltas.append(out.genes[0].root.value)
         var = float(np.var(deltas))
-        assert abs(var - engine.cfg.var_cm) <= 0.01
+        assert abs(var - VAR_CM) <= 0.01
 
     def test_weights_mutation_changes_all_group_weights(self):
         engine = make_engine("UM", seed=24)
@@ -440,7 +461,7 @@ class TestMutations:
             offsets["b0"].append(w.b[0] - 1.0)
             offsets["b1"].append(w.b[1])
         for vals in offsets.values():
-            assert abs(np.var(vals) - engine.cfg.var_wm) <= 0.1
+            assert abs(np.var(vals) - VAR_WM) <= 0.1
 
     def test_s_mode_weights_mutation_keeps_group_synchronised(self):
         engine = make_engine("SM", seed=27)
@@ -668,12 +689,11 @@ class TestStepGeneration:
             assert carried is elite
 
     def test_event_frequencies(self):
-        cfg = EngineConfig()
         rng = np.random.default_rng(34)
         counts = {"crossover": 0, "mutation": 0, "reproduction": 0}
         n = 10_000
         for _ in range(n):
-            counts[draw_event(rng, cfg)] += 1
+            counts[draw_event(rng)] += 1
         assert abs(counts["crossover"] / n - 0.84) <= 0.02
         assert abs(counts["mutation"] / n - 0.14) <= 0.02
         assert abs(counts["reproduction"] / n - 0.02) <= 0.01
@@ -757,6 +777,35 @@ class TestRun:
         assert res.generations == 0
         assert len(res.history) == 1
         assert res.history[0][0] == 0
+
+    def test_a_zero_second_budget_stops_before_the_first_generation(self, monkeypatch):
+        train, test = self.make_data(1)
+        mode = ModeConfig.from_codename("baseline")
+        cfg = EngineConfig.for_mode(mode, pop_size=20, elite=3, tournament=3)
+        monkeypatch.setattr(Engine, "step_generation", lambda self, pop: pytest.fail("stepped"))
+        res = run(cfg, mode, train, test, RunBudget(max_seconds=0.0), seed=5)
+        assert res.generations == 0
+        assert len(res.history) == 1
+
+    def test_a_budget_needs_a_limit(self):
+        with pytest.raises(ValueError, match="set max_generations and/or max_seconds"):
+            RunBudget()
+
+    @pytest.mark.parametrize("limits, message", [
+        (dict(max_generations=-1), "max_generations must be >= 0"),
+        (dict(max_seconds=-1.0), "max_seconds must be >= 0"),
+    ])
+    def test_a_negative_budget_is_refused(self, limits, message):
+        with pytest.raises(ValueError, match=message):
+            RunBudget(**limits)
+
+    def test_train_and_test_must_share_dimensionality(self):
+        train, _ = self.make_data(1)
+        _, test = gen_sigmoid(3, False, np.random.default_rng(1))
+        mode = ModeConfig.from_codename("baseline")
+        cfg = EngineConfig.for_mode(mode, pop_size=10, elite=2, tournament=2)
+        with pytest.raises(DataError, match="train and test sets must share dimensionality"):
+            run(cfg, mode, train, test, RunBudget(max_generations=1), seed=0)
 
     def test_same_seed_reproduces_run_exactly(self):
         train, test = self.make_data(2)

@@ -281,6 +281,15 @@ class TestRandomTree:
             tree = random_tree(rng, 4, "grow", tc)
             assert not any(isinstance(n, Lcf) for n in Gene(tree).nodes)
 
+    @pytest.mark.parametrize("depth, method, message", [
+        (-1, "grow", "max_depth must be >= 0"),
+        (3, "half", "unknown method 'half'"),
+    ])
+    def test_bad_depth_or_method_is_refused(self, depth, method, message):
+        tc = TerminalConfig(dim=2)
+        with pytest.raises(ValueError, match=message):
+            random_tree(np.random.default_rng(0), depth, method, tc)
+
     def test_new_lcf_leaves_start_as_identity(self):
         rng = np.random.default_rng(8)
         tc = TerminalConfig(dim=3, use_lcf=True)

@@ -36,6 +36,20 @@ class TestMannWhitney:
         res = mann_whitney_u([5.0] * 4, [5.0] * 6)
         assert res.p_two_sided == 1.0
 
+    def test_all_values_identical_on_the_normal_path(self):
+        # pooled size 20: every rank ties, so the variance is zero
+        res = mann_whitney_u([5.0] * 8, [5.0] * 12)
+        assert res.p_two_sided == 1.0
+        assert res.verdict == "indifferent"
+
+    def test_significant_with_equal_medians_is_indifferent(self):
+        a = [0.0] * 11 + [10.0] * 10
+        b = [-10.0] * 10 + [0.0] * 11
+        assert np.median(a) == np.median(b) == 0.0
+        res = mann_whitney_u(a, b, alpha=0.05)
+        assert res.p_two_sided <= 0.05
+        assert res.verdict == "indifferent"
+
     @given(a=samples, b=samples)
     @settings(max_examples=200, deadline=None)
     def test_u_sum_identity(self, a, b):
