@@ -39,9 +39,11 @@ def training_r2(ind):
 
 print(f"start:  R2 = {training_r2(individual):.4f}   weights a={weights.a:+.3f} b={weights.b}")
 for round_no in range(1, 9):
-    tune(individual, train, StepBudget())
+    # tune returns the fit of the weights it leaves, made during the descent
+    model, r2 = tune(individual, train, StepBudget())
+    assert r2 == training_r2(individual)
     print(
-        f"round {round_no}: R2 = {training_r2(individual):.6f}   "
+        f"round {round_no}: R2 = {r2:.6f}   y ~ {model.c0:+.3f} {model.c[0]:+.3f} * gene   "
         f"a={weights.a:+.3f} b={np.round(weights.b, 3)}"
     )
 

@@ -4,9 +4,10 @@ sign-based resilient weight updates.
 The loss is the sum of squared errors of the individual's prediction
 ``yhat = c0 + sum_k c_k * gene_k(x)`` with the top-level coefficients held
 fixed during a backward pass; they are refit by ordinary least squares
-before every update step.  Because minimising SSE is affinely equivalent to
-maximising training R^2, the tuner tracks R^2 and keeps the best weights it
-observes.
+before every update step, unless the individual already holds the fit of
+its current weights.  Because minimising SSE is affinely equivalent to
+maximising training R^2, the tuner tracks R^2, keeps the best weights it
+observes and returns their fit, so the caller need not refit them.
 
 Gradient aggregation across synchronised LCF groups falls out of sharing:
 the gradient table is keyed by weight-set object, so leaves that share a
@@ -310,10 +311,12 @@ def _descend(population, weight_sets, train, steps: int, moved, on_fit=None,
     """Up to ``steps`` iRprop- updates of ``weight_sets`` on the loss summed
     over ``population``, the one tuning loop of every mode.
 
-    Each step traces and refits every individual with LCF leaves, passing
-    each finite R^2 to ``on_fit`` (it scores the weights before the update),
-    and sums the partials of those whose fit and gradient are finite in
-    population order.  No valid partial, or a non-finite sum, stops the
+    Each step traces and fits every individual with LCF leaves, passing
+    each valid fit to ``on_fit(model, r2)`` (it scores the weights before
+    the update), and sums the partials of those whose fit and gradient are
+    finite in population order.  A member that holds the fit of its current
+    weights at ``epoch()`` (see :meth:`Individual.current_fit`) is still
+    traced but not refit.  No valid partial, or a non-finite sum, stops the
     descent; otherwise one update is made and ``moved()`` is called.
     Returns True when every step updated, leaving the last weights unscored.
 
@@ -327,15 +330,16 @@ def _descend(population, weight_sets, train, steps: int, moved, on_fit=None,
     tuned = [individual for individual in population if individual.has_lcf()]
     shared = _shared_genes(tuned)
     for _ in range(steps):
+        at = epoch()
         grads = []  # the fit members' tables, in population order
         held = {gene: [] for gene in shared}  # (residual2, c, sink) per holder position
         for individual in tuned:
-            trace = forward_trace(individual, X, shared, epoch())
-            model, r2 = fit_and_score(trace.roots(individual), y)
+            trace = forward_trace(individual, X, shared, at)
+            model, r2 = individual.current_fit(at) or fit_and_score(trace.roots(individual), y)
             if model is None:
                 continue
             if on_fit is not None:
-                on_fit(r2)
+                on_fit(model, r2)
             grads.append(backward(individual, trace, y, model, held))
         for gene, positions in held.items():
             if positions:
@@ -379,29 +383,32 @@ def tune(individual, train, budget: StepBudget = StepBudget()):
 
     Runs up to ``budget.steps_for(total nodes)`` iterations of {forward
     trace, refit top-level OLS, backward, iRprop- step} over the
-    individual's own weight sets.  The individual is returned carrying the
+    individual's own weight sets.  The individual is left carrying the
     best-training-R^2 weights observed (never worse than the weights it
-    arrived with); a non-finite loss or gradient stops tuning early.  No-op
-    for individuals without LCF leaves.
+    arrived with); a non-finite loss or gradient stops tuning early.
+    Returns the ``(model, r2)`` fit of the weights it leaves, made during
+    the descent, for the caller to adopt instead of refitting; ``None`` when
+    no fit was valid (the weights are then unchanged) or the individual has
+    no LCF leaves (a no-op).
     """
     if not individual.has_lcf():
-        return individual
+        return None
     sets = individual.weight_sets()
-    best_r2, best = -np.inf, {}  # every update follows a scored fit, which sets ``best``
+    best_fit, best = (None, -np.inf), {}  # every update follows a valid fit, which sets both
 
-    def keep_best(r2: float) -> None:
-        nonlocal best_r2, best
-        if r2 > best_r2:
-            best_r2, best = r2, {w: w.values() for w in sets}
+    def keep_best(model, r2: float) -> None:
+        nonlocal best_fit, best
+        if r2 > best_fit[1]:
+            best_fit, best = (model, r2), {w: w.values() for w in sets}
 
     n_steps = budget.steps_for(individual.total_nodes())
     if _descend([individual], sets, train, n_steps, individual.weights_changed, keep_best):
         trace = forward_trace(individual, train.X)
-        keep_best(fit_and_score(trace.roots(individual), train.y)[1])
+        keep_best(*fit_and_score(trace.roots(individual), train.y))
     for w, (a, b) in best.items():
         w.set_values(a, b)
     individual.weights_changed()
-    return individual
+    return best_fit if best else None
 
 
 class GlobalWeightTable:

@@ -186,9 +186,15 @@ def _recorded_runs(path: Path) -> set:
     return {(rec.codename, rec.dataset, rec.seed) for rec in records}
 
 
+def _mode(codename) -> ModeConfig:
+    """The configuration a codename names.  argparse hands the value of
+    ``--config=--`` over as an empty list, not as ``--``."""
+    return ModeConfig.from_codename("--" if codename == [] else codename)
+
+
 def _cmd_run(args) -> int:
     codenames = args.config or ["baseline"]
-    modes = [ModeConfig.from_codename(c) for c in codenames]
+    modes = [_mode(c) for c in codenames]
     if args.runs <= 0:
         raise DataError("--runs must be positive")
     if args.generations is None and args.seconds is None:
@@ -316,6 +322,8 @@ _VB_MARK = {"better": "+", "worse": "-", "indifferent": ""}
 
 
 def _cmd_report(args) -> int:
+    if args.comparisons is not None and args.comparisons < 1:
+        raise ValueError("--comparisons must be >= 1")
     records = load_records(args.records)
     groups = _group(records)
     baseline = groups.get("baseline")
@@ -371,17 +379,19 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    records = load_records(args.records)
-    groups = _group(records)
-    for name in (args.config_a, args.config_b):
+    name_a, name_b = (_mode(n).codename for n in (args.config_a, args.config_b))
+    if args.comparisons < 1:
+        raise ValueError("--comparisons must be >= 1")
+    groups = _group(load_records(args.records))
+    for name in (name_a, name_b):
         if name not in groups:
             raise DataError(f"no records for configuration {name!r}")
-    a = [r.test_r2 for r in groups[args.config_a]]
-    b = [r.test_r2 for r in groups[args.config_b]]
+    a = [r.test_r2 for r in groups[name_a]]
+    b = [r.test_r2 for r in groups[name_b]]
     res = mann_whitney_u(a, b, alpha=bonferroni(args.alpha, args.comparisons))
     print(
-        f"{args.config_a} vs {args.config_b}: U={res.u_statistic:.1f} "
-        f"p={res.p_two_sided:.6g} -> {args.config_a} is {res.verdict}"
+        f"{name_a} vs {name_b}: U={res.u_statistic:.1f} "
+        f"p={res.p_two_sided:.6g} -> {name_a} is {res.verdict}"
     )
     return 0
 

@@ -159,14 +159,20 @@ class Individual:
     def gene_outputs(self, data, epoch: int = 0) -> list[np.ndarray]:
         return [g.output(data.X, epoch) for g in self.genes]
 
-    def weights_changed(self) -> None:
-        """Drop the cached outputs of the LCF genes and the cached fit.
+    def current_fit(self, epoch: int):
+        """The cached ``(model, fitness)`` if it was made at ``epoch``, else
+        None."""
+        return (self.model, self.fitness) if self._fit_key == epoch else None
+
+    def weights_changed(self, genes=None) -> None:
+        """Drop the cached fit and the cached outputs of ``genes``, the ones
+        whose weights changed (by default every LCF gene).
 
         In U and S mode every clone copies its LCF genes, so they belong to
         this individual alone; in G mode the weights change only together
         with the table epoch, which the caches key on anyway.
         """
-        for gene in self.genes:
+        for gene in self.genes if genes is None else genes:
             if gene.has_lcf:
                 gene.forget()
         self._fit_key = None
@@ -226,10 +232,16 @@ class Engine:
         epoch = self.epoch
         if ind._fit_key == epoch:
             return ind.fitness
-        ind.model, r2 = _fitness.fit_linear(ind, self.train, epoch)
-        ind.fitness = r2
+        return self.adopt_fit(ind, *_fitness.fit_linear(ind, self.train, epoch))
+
+    def adopt_fit(self, ind: Individual, model, r2: float) -> float:
+        """Cache ``(model, r2)``, the fit of ``ind``'s current weights on the
+        training set, at the current epoch.  Every fit an individual is
+        given counts once in ``evaluations``, whether :meth:`evaluate` made
+        it or tuning or repair hands it over."""
+        ind.model, ind.fitness = model, r2
         ind._rank = (r2, -ind.total_nodes())
-        ind._fit_key = epoch
+        ind._fit_key = self.epoch
         self.evaluations += 1
         return r2
 
@@ -392,17 +404,22 @@ class Engine:
         For every index carrying more than one distinct weight-value set
         (after crossover or mutation), the individual's training fitness is
         evaluated under each candidate set and under their element-wise
-        mean; the best one is adopted for the whole group.  If no candidate
-        is valid the mean is adopted.  Afterwards each group references a
-        single shared weight object.
+        mean; the best one is adopted for the whole group, and so is the fit
+        it was scored by.  If no candidate is valid the mean is adopted.
+        Afterwards each group references a single shared weight object.
+        Rebinding a group, or trying a candidate, voids the cached outputs
+        of the genes that hold a leaf of it, and no others.
         """
         if self.mode.mode != "S":
             return ind
         groups: dict[int, list[Lcf]] = {}
-        for node in ind.lcf_nodes():
-            groups.setdefault(node.index, []).append(node)
+        holders: dict[int, dict[Gene, None]] = {}  # the genes that hold each index
+        for gene in ind.genes:
+            for node in gene.lcf_leaves():
+                groups.setdefault(node.index, []).append(node)
+                holders.setdefault(node.index, {})[gene] = None
         for index in sorted(groups):
-            nodes = groups[index]
+            nodes, touched = groups[index], holders[index]
             distinct: list[LcfWeights] = []
             for n in nodes:
                 if not any(n.weights.values_equal(w) for w in distinct):
@@ -413,22 +430,22 @@ class Engine:
             for n in nodes:
                 n.weights = shared
             if len(distinct) == 1:
-                ind.weights_changed()
+                ind.weights_changed(touched)
                 continue
             candidates = [w.values() for w in distinct]
             mean_a = sum(a for a, _ in candidates) / len(candidates)
             mean_b = sum(b for _, b in candidates) / len(candidates)
             candidates.append((mean_a, mean_b))
-            best, best_r2 = candidates[-1], -math.inf  # all invalid: adopt the mean
+            best, best_fit = candidates[-1], (None, -math.inf)  # all invalid: the mean's
             for a, b in candidates:
                 shared.set_values(a, b)
-                ind.weights_changed()
+                ind.weights_changed(touched)
                 r2 = self.evaluate(ind)
-                if r2 > best_r2:
-                    best, best_r2 = (a, b), r2
+                if r2 > best_fit[1]:
+                    best, best_fit = (a, b), (ind.model, r2)
             shared.set_values(*best)
-            ind.weights_changed()
-            self.evaluate(ind)
+            ind.weights_changed(touched)
+            self.adopt_fit(ind, *best_fit)
         return ind
 
     # -- population level ------------------------------------------------
@@ -495,11 +512,13 @@ class Engine:
             offspring.extend(batch)
         if self.mode.uses_backprop and self.mode.mode in ("U", "S"):
             for child in offspring:
-                tune(child, self.train)
+                fit = tune(child, self.train)
+                if fit is not None:
+                    self.adopt_fit(child, *fit)
         new_pop = list(elites) + offspring
         if self.mode.mode == "G":
             global_tune(new_pop, self.table, self.train)
-        for ind in new_pop:  # fit the offspring; in G mode refit all at the new epoch
+        for ind in new_pop:  # fit the rest; in G mode refit all at the new epoch
             self.evaluate(ind)
         return new_pop
 
@@ -531,7 +550,7 @@ class RunResult:
     run (weights detached from any shared table, top-level model and
     training fitness kept), its scores and metrics,
     and a per-generation trace of (generation, best-so-far train R^2,
-    fitness evaluations, elapsed seconds)."""
+    fits given so far, see :meth:`Engine.adopt_fit`, elapsed seconds)."""
 
     best: Individual
     train_r2: float

@@ -78,6 +78,87 @@ def test_a_sync_repair_rebind_voids_the_caches():
     assert repaired > 10
 
 
+def repaired_children(seed):
+    """Crossover children of a tuned S-mode population, each fit before and
+    repaired after; the parents' weights differ, so repairs try candidates."""
+    engine = make_engine("SB", seed)
+    pop = warmed_population(engine)
+    for ind in pop:
+        tune(ind, engine.train)
+    for p1, p2 in zip(pop[::2], pop[1::2]):
+        for child in engine.high_level_xover(p1, p2) + engine.low_level_xover(p1, p2):
+            engine.evaluate(child)
+            engine.sync_repair(child)
+            yield engine, child
+
+
+def test_a_sync_repair_that_tries_candidates_voids_the_caches():
+    for seed in range(4):
+        for engine, child in repaired_children(seed):
+            assert_fresh(engine, [child])
+
+
+def test_a_repair_that_keeps_a_touched_gene_output_is_caught(monkeypatch):
+    # the fault: sync_repair's partial forget leaves its first gene's output
+    original = Individual.weights_changed
+
+    def leaky(self, genes=None):
+        original(self, None if genes is None else list(genes)[1:])
+
+    monkeypatch.setattr(Individual, "weights_changed", leaky)
+    caught = 0
+    for seed in range(4):
+        for engine, child in repaired_children(seed):
+            try:
+                assert_fresh(engine, [child])
+            except AssertionError:
+                caught += 1
+    assert caught > 10
+
+
+def test_a_repair_keeps_the_outputs_of_genes_without_a_leaf_of_its_group():
+    engine = make_engine("SB", 0)
+    X = engine.train.X
+    w1, w2 = LcfWeights(0.0, [1.0, 0.0]), LcfWeights(0.3, [0.5, -1.0])
+    repaired = Gene(Func(Fn.ADD, (Func(Fn.TANH, (Lcf(1, w1),)), Lcf(1, w2))))
+    other = Gene(Func(Fn.SIN, (Lcf(2, LcfWeights.identity(2, 2)),)))
+    ind = Individual([repaired, other], 2)
+    engine.evaluate(ind)
+    kept, voided = other.output(X), repaired.output(X)
+    engine.sync_repair(ind)
+    assert len(ind.weight_sets()) == 2
+    assert other.output(X) is kept
+    assert repaired.output(X) is not voided
+    assert_fresh(engine, [ind])
+
+
+def assert_holds_a_fresh_fit(engine, ind):
+    """The cached fit is bit for bit ``fitness.fit_linear`` of the same
+    trees in new genes, which cache nothing yet."""
+    cached = ind.current_fit(engine.epoch)
+    assert cached is not None
+    fresh = Individual([Gene(g.root) for g in ind.genes], ind.dim)
+    model, r2 = fitness.fit_linear(fresh, engine.train, engine.epoch)
+    assert bits(cached[1]) == bits(r2)
+    if model is None:
+        assert cached[0] is None
+    else:
+        assert bits(cached[0].c0) == bits(model.c0)
+        assert bits(cached[0].c) == bits(model.c)
+
+
+@pytest.mark.parametrize("codename", ["UB", "SB", "SC", "GB"])
+def test_a_generation_leaves_every_member_the_fit_of_its_weights(codename):
+    # tuning and repair hand their fits over instead of refitting
+    for seed in range(2):
+        engine = make_engine(codename, seed)
+        pop = warmed_population(engine)
+        for _ in range(3):
+            pop = engine.step_generation(pop)
+            for ind in pop:
+                assert_holds_a_fresh_fit(engine, ind)
+
+
 @pytest.mark.parametrize("codename", ["GB", "GC"])
 def test_table_updates_void_the_caches_of_the_whole_population(codename):
     for seed in range(3):

@@ -364,6 +364,34 @@ class TestCompare:
             "compare", str(path), "--config-a", "SB", "--config-b", "baseline",
         ]) == 2
 
+    def test_codenames_are_read_as_run_reads_them(self, tmp_path, capsys):
+        out = tmp_path / "records"
+        assert main(["run", "--dataset", "s2d", "--config=um", "--config=--", "--runs", "2",
+                     "--generations", "2", "--out", str(out)]) == 0
+        assert {r.codename for r in load_records(out)} == {"UM", "baseline"}
+        capsys.readouterr()
+        for a, b in [("um", "--"), (" Um ", "BASELINE"), ("UM", "baseline")]:
+            assert main(["compare", str(out), f"--config-a={a}", f"--config-b={b}"]) == 0
+            assert capsys.readouterr().out.startswith("UM vs baseline: U=")
+
+    def test_an_unknown_codename_is_a_usage_error(self, tmp_path, capsys):
+        path = run_small(tmp_path)
+        capsys.readouterr()
+        for a, b in [("UX", "baseline"), ("baseline", "GM")]:
+            assert main(["compare", str(path), "--config-a", a, "--config-b", b]) == 1
+            assert "expected one of baseline, UM, UB, UC, SM, SB, SC, GB, GC" in \
+                capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("compare", ["--config-a", "UB", "--config-b", "baseline"]), ("report", [])])
+    def test_comparisons_below_one_is_a_usage_error(self, tmp_path, capsys, command, flags):
+        path = run_small(tmp_path, configs=("baseline", "UB"), runs=2)
+        capsys.readouterr()
+        for m in ("0", "-3"):
+            assert main([command, str(path), *flags, "--comparisons", m]) == 1
+            captured = capsys.readouterr()
+            assert "--comparisons must be >= 1" in captured.err and captured.out == ""
+
     def test_a_significance_level_outside_zero_one_is_a_usage_error(self, tmp_path, capsys):
         path = run_small(tmp_path, configs=("baseline", "UB"), runs=2)
         capsys.readouterr()

@@ -31,6 +31,7 @@ from mggp.exprtree import (
     LcfWeights,
     TerminalConfig,
     Var,
+    eval_batch,
     random_tree,
 )
 
@@ -243,6 +244,18 @@ def assert_same_state(sets, ref_sets):
             assert bits(getattr(w, field)) == bits(getattr(ref, field)), field
 
 
+def assert_fit_of_the_weights_left(fit, ind, train):
+    """``tune``'s fit is bit for bit a fresh fit of the weights it left, or
+    None when no fit of them is valid or there are no LCF leaves."""
+    model, r2 = bp.fit_and_score([eval_batch(g.root, train.X) for g in ind.genes], train.y)
+    if fit is None:
+        assert not ind.has_lcf() or model is None
+        return
+    assert bits(fit[0].c0) == bits(model.c0)
+    assert bits(fit[0].c) == bits(model.c)
+    assert bits(fit[1]) == bits(r2)
+
+
 def failing_on_call(monkeypatch, name, k, poisoned, run):
     """``run()`` with the ``k``-th call (from 0) of ``bp.<name>`` returning
     ``poisoned(result)``."""
@@ -276,7 +289,7 @@ def tune_both(seed, mode, rounds=3):
     stops = []
     for _ in range(rounds):  # the step-size memory carries over between calls
         stops.append(ref_tune(ref_ind, ref_train, budget))
-        assert tune(ind, train, budget) is ind
+        assert_fit_of_the_weights_left(tune(ind, train, budget), ind, train)
         assert_same_state(ind.weight_sets(), ref_ind.weight_sets())
     return stops
 
