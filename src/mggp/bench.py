@@ -31,6 +31,8 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=float)
         if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[0] != self.y.shape[0]:
             raise DataError("X must be n x d and y a matching length-n vector")
+        if self.X.shape[1] == 0:
+            raise DataError(f"dataset {self.name!r} has no feature columns")
         if self.X.shape[0] < 2:
             raise DataError("a dataset needs at least 2 samples")
         if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
@@ -148,8 +150,9 @@ def split(data: Dataset, ratio: float, rng) -> tuple[Dataset, Dataset]:
         raise ValueError("ratio must be strictly between 0 and 1")
     n = data.n
     n_train = math.ceil(ratio * n)
-    if n_train == 0 or n_train == n:
-        raise DataError(f"split of {n} rows at ratio {ratio} leaves one side empty")
+    if min(n_train, n - n_train) < 2:
+        raise DataError(f"split of {n} rows at ratio {ratio} gives {n_train} training and "
+                        f"{n - n_train} test rows; each side needs at least 2")
     perm = rng.permutation(n)
     tr, te = perm[:n_train], perm[n_train:]
     return (

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -56,7 +57,27 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
-        return cls(**json.loads(line))
+        record = cls(**json.loads(line))
+        for names, kind, accepts in _FIELD_TYPES:
+            for name in names:
+                value = getattr(record, name)
+                if not accepts(value):
+                    raise TypeError(f"field {name!r} must be {kind}, got {value!r:.40}")
+        return record
+
+
+# What each field of a record must hold when it is read; JSON gives a bool
+# its own type.  An invalid best individual scores -inf, so the R^2 fields
+# may be infinite.
+_FIELD_TYPES = (
+    (("codename", "dataset"), "a string", lambda v: type(v) is str),
+    (("seed", "dim", "generations"), "an integer", lambda v: type(v) is int),
+    (("train_r2", "test_r2"), "a number other than NaN",
+     lambda v: type(v) in (int, float) and v == v),
+    (("lcf_ratio", "mean_depth", "wall_time_s"), "a finite number",
+     lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
+    (("history", "best_genes", "best_coeffs"), "a list", lambda v: type(v) is list),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,8 +288,8 @@ def load_records(where) -> list[RunRecord]:
 
     A last line without its newline that does not parse is what an
     interrupted run leaves behind: it is skipped with a warning.  Any other
-    line that is not a record is a :class:`DataError` naming the file, the
-    line and the cause.
+    line that is not a record, or whose fields do not have their types, is
+    a :class:`DataError` naming the file, the line and the cause.
     """
     path = Path(where)
     if path.is_dir():

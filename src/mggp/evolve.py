@@ -38,7 +38,6 @@ from .exprtree import (
     format_tree,
     pick_node,
     random_tree,
-    replace_subtree,
     Const,
 )
 
@@ -271,7 +270,8 @@ class Engine:
         copy_weights = (lambda w: LcfWeights(w.a, w.b)) if fresh else LcfWeights.copy
         if self.mode.mode != "U":
             copy_weights = functools.cache(copy_weights)  # sets hash by identity
-        genes = [g.copy(copy_weights) if g.has_lcf else g for g in ind.genes]
+        genes = [g.replace({s: Lcf(n.index, copy_weights(n.weights)) for s, n in enumerate(g.nodes)
+                            if isinstance(n, Lcf)}) if g.has_lcf else g for g in ind.genes]
         return Individual(genes, ind.dim)
 
     # -- selection -----------------------------------------------------
@@ -341,7 +341,7 @@ class Engine:
         slot ``slot``, or of ``parent`` unchanged when the new gene would
         break the depth limit."""
         genes = list(parent.genes)
-        gene = Gene(replace_subtree(genes[gi], slot, sub))
+        gene = genes[gi].replace({slot: sub})
         if gene.depth <= self.cfg.d_max:
             genes[gi] = gene
         return self.clone_individual(Individual(genes, parent.dim), fresh=True)
@@ -366,7 +366,7 @@ class Engine:
         delta = self.rng.normal(0.0, math.sqrt(VAR_CM))
         genes = list(ind.genes)
         value = genes[gi].nodes[slot].value
-        genes[gi] = Gene(replace_subtree(genes[gi], slot, Const(value + delta)))
+        genes[gi] = genes[gi].replace({slot: Const(value + delta)})
         return self.clone_individual(Individual(genes, ind.dim))
 
     def weights_mutation(self, ind: Individual) -> Individual:

@@ -11,15 +11,15 @@ Each :class:`Gene` compiles its tree once into a flat postfix tape, which
 evaluation, the gradient module's forward trace and its backward sweep all
 run over.  Evaluation is vectorised over sample rows and propagates
 non-finite values untouched; the fitness layer decides what to do with
-them.  Nodes are addressed by tape slot, and :func:`replace_subtree` and
-:meth:`Gene.copy` share one rebuild over the slots.
+them.  Nodes are addressed by tape slot, and :meth:`Gene.replace` derives
+every new gene from an old one by putting new nodes at slots.
 
 Tree structure is immutable: structural edits return new trees that share
 untouched subtrees with the original, and trees of different individuals
 may share subtrees too.  The one sanctioned mutation is rebinding
 ``Lcf.weights``, which individual-level synchronisation code uses to
-(re)share weight sets; it does so only on the LCF leaves of a copy that
-:meth:`Gene.copy` made for that individual.
+(re)share weight sets; it does so only on the new LCF leaves that
+:meth:`Gene.replace` put into a copy made for that individual.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def eval_batch(root: Node, X, gene: "Gene | None" = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# structural queries and edits
+# structural queries
 
 
 def node_count(root: Node) -> int:  # read only by perfbench/tracing.py
@@ -332,30 +332,6 @@ def pick_node(rng, gene: "Gene") -> tuple[int, int]:
         if a >= 0:
             stack.append((a, level + 1))
     return stack.pop()
-
-
-def _rebuild(gene: "Gene", changes: dict[int, Node]) -> list[Node]:
-    """``gene``'s nodes slot by slot, with ``changes[slot]`` in place and a new
-    ``Func`` wherever a child changed; untouched subtrees stay shared.  The
-    slots before the first change keep their nodes: children precede parents."""
-    program, nodes, changed = gene.program, gene.nodes, dict(changes)
-    out = list(nodes[: min(changed, default=len(nodes))])
-    for slot in range(len(out), len(nodes)):
-        node = changed.get(slot)
-        if node is None:
-            node, a, b = nodes[slot], program[SLOT * slot + 2], program[SLOT * slot + 3]
-            if a in changed or b in changed:  # slots are >= 0: a leaf's -1s match none
-                node = changed[slot] = Func(node.kind, (out[a],) if b < 0 else (out[a], out[b]))
-        out.append(node)
-    return out
-
-
-def replace_subtree(gene: "Gene", slot: int, sub: Node) -> Node:
-    """The root of ``gene``'s tree with the subtree at tape slot ``slot``
-    replaced by ``sub``; untouched subtrees are shared with the original."""
-    if not 0 <= slot < gene.node_count:
-        raise StructuralError(f"slot {slot} is outside a {gene.node_count}-slot tape")
-    return _rebuild(gene, {slot: sub})[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +429,30 @@ class Gene:
         self.has_lcf = bool(self.program[-SLOT + 1])
         self._cached = None  # (input array, key, output)
 
-    def copy(self, copy_weights: Callable[[LcfWeights], LcfWeights]) -> "Gene":
-        """A copy whose LCF leaves are new, each holding ``copy_weights(old
-        set)`` in left-to-right order, so the caller decides which leaves of
-        the copy share a weight set.  Their ancestors are rebuilt; LCF-free
-        subtrees are immutable and stay shared.  The copy reuses this gene's
-        tape, depth and size."""
-        changes = {slot: Lcf(node.index, copy_weights(node.weights))
-                   for slot, node in enumerate(self.nodes) if isinstance(node, Lcf)}
-        nodes = _rebuild(self, changes)
+    def replace(self, changes: dict[int, Node]) -> "Gene":
+        """This gene with ``changes[slot]`` in place of the subtree at each
+        tape slot; a new ``Func`` is built only where a child changed, and
+        untouched subtrees stay shared.  When every change puts a leaf where
+        a leaf of the same class was, the new gene reuses this gene's tape,
+        which holds no leaf values, indices or weights; otherwise its tree
+        is compiled."""
+        program, nodes, changed = self.program, self.nodes, dict(changes)
+        if changed and not 0 <= min(changed) <= max(changed) < self.node_count:
+            raise StructuralError(f"slot outside a {len(nodes)}-slot tape: {sorted(changed)}")
+        out = list(nodes[: min(changed, default=len(nodes))])  # children precede parents
+        for slot in range(len(out), len(nodes)):
+            node = changed.get(slot)
+            if node is None:
+                node, a, b = nodes[slot], program[SLOT * slot + 2], program[SLOT * slot + 3]
+                if a in changed or b in changed:  # slots are >= 0: a leaf's -1s match none
+                    node = changed[slot] = Func(node.kind, (out[a],) if b < 0 else (out[a], out[b]))
+            out.append(node)
+        if not all(type(new) is type(nodes[slot]) and type(new) in _LEAF_OPCODE
+                   for slot, new in changes.items()):
+            return Gene(out[-1])
         gene = Gene.__new__(Gene)
-        gene.root, gene.nodes, gene.program = nodes[-1], tuple(nodes), self.program
+        gene.root, gene.nodes, gene.program, gene._cached = out[-1], tuple(out), program, None
         gene.depth, gene.node_count, gene.has_lcf = self.depth, self.node_count, self.has_lcf
-        gene._cached = None
         return gene
 
     def lcf_leaves(self) -> list[Lcf]:
@@ -503,7 +490,8 @@ class Gene:
 #          | "var" index
 #          | "lcf" index                      (identity weights shorthand)
 #          | "lcf" index a b1 ... bd          (explicit weights)
-# Numbers are printed with repr so parsing reproduces them bit-exactly.
+# Numbers are printed with repr so parsing reproduces them bit-exactly; an
+# index is a decimal integer.
 
 
 _FN_BY_NAME = {kind.value: kind for kind in Fn}
@@ -546,39 +534,46 @@ def parse_tree(text: str, dim: int | None = None) -> Node:
             fail(f"expected {tok!r} at token {pos}")
         pos += 1
 
-    def number() -> float:
+    def take() -> str:
         nonlocal pos
         if pos >= len(tokens):
             fail("unexpected end of input")
-        try:
-            value = float(tokens[pos])
-        except ValueError:
-            fail(f"expected a number, got {tokens[pos]!r}")
         pos += 1
-        return value
+        return tokens[pos - 1]
+
+    def number() -> float:
+        token = take()
+        try:
+            return float(token)
+        except ValueError:
+            fail(f"expected a number, got {token!r}")
+
+    def index() -> int:
+        token = take()
+        if not (token.isascii() and token.isdigit()):
+            fail(f"expected a decimal integer index, got {token!r}")
+        return int(token)
 
     def node() -> Node:
-        nonlocal pos
         expect("(")
-        if pos >= len(tokens):
-            fail("unexpected end of input")
-        head = tokens[pos]
-        pos += 1
+        head = take()
         if head == "const":
             out: Node = Const(number())
         elif head == "var":
-            out = Var(int(number()))
+            out = Var(index())
         elif head == "lcf":
-            index = int(number())
+            i = index()
             values = []
             while pos < len(tokens) and tokens[pos] != ")":
                 values.append(number())
             if values:
-                out = Lcf(index, LcfWeights(values[0], values[1:]))
+                out = Lcf(i, LcfWeights(values[0], values[1:]))
             else:
                 if dim is None:
                     fail("(lcf i) shorthand needs the problem dimensionality")
-                out = Lcf(index, LcfWeights.identity(index, dim))
+                if i > dim:
+                    fail(f"(lcf {i}) exceeds the problem dimensionality {dim}")
+                out = Lcf(i, LcfWeights.identity(i, dim))
         elif head in _FN_BY_NAME:
             kind = _FN_BY_NAME[head]
             out = Func(kind, tuple(node() for _ in range(kind.arity)))

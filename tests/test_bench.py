@@ -29,6 +29,16 @@ class TestDataset:
         with pytest.raises(DataError, match="a dataset needs at least 2 samples"):
             Dataset("x", np.zeros((1, 2)), np.zeros(1))
 
+    def test_no_feature_columns_rejected_naming_the_dataset(self):
+        with pytest.raises(DataError, match="dataset 'x' has no feature columns"):
+            Dataset("x", np.zeros((40, 0)), np.arange(40.0))
+
+    def test_a_target_only_csv_is_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("".join(f"{k}\n" for k in range(40)))
+        with pytest.raises(DataError, match="'t' has no feature columns"):
+            load_csv(path, name="t", role="full")
+
     def test_constant_target_rejected_for_training(self):
         X = np.zeros((4, 1))
         with pytest.raises(DegenerateDataError):
@@ -242,6 +252,17 @@ class TestSplit:
     def test_empty_side_rejected(self):
         with pytest.raises(DataError):
             split(self.make(2), 0.9, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("n, ratio, n_train", [(6, 0.7, 5), (3, 0.5, 2), (10, 0.1, 1)])
+    def test_a_side_below_two_rows_is_refused_naming_both_counts(self, n, ratio, n_train):
+        message = (f"split of {n} rows at ratio {ratio} gives {n_train} training and "
+                   f"{n - n_train} test rows")
+        with pytest.raises(DataError, match=message):
+            split(self.make(n), ratio, np.random.default_rng(3))
+
+    def test_two_rows_a_side_are_enough(self):
+        train, test = split(self.make(4), 0.5, np.random.default_rng(3))
+        assert (train.n, test.n) == (2, 2)
 
     def test_generator_is_required(self):
         # every split is seeded by its caller

@@ -140,6 +140,20 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        (["7"] * 20 + ["8"] * 20, "dataset 't' has no feature columns"),
+        ([f"{k},{k * k % 7}" for k in range(6)],
+         "split of 6 rows at ratio 0.7 gives 5 training and 1 test rows"),
+    ])
+    def test_a_csv_without_features_or_split_rows_is_a_data_error(self, tmp_path, capsys,
+                                                                  rows, message):
+        (tmp_path / "t.csv").write_text("".join(row + "\n" for row in rows))
+        out = tmp_path / "records"
+        assert main(["run", "--dataset", str(tmp_path / "t.csv"), "--runs", "1",
+                     "--generations", "1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_csv_is_loaded_once_and_split_per_run(self, tmp_path, monkeypatch):
         main(["gen", "s2d", "--seed", "2", "--out", str(tmp_path / "data")])
         csv = tmp_path / "data" / "s2d_train.csv"
@@ -236,6 +250,20 @@ class TestRun:
                      "--seed", "7", "--out", str(out)]) == 2
         assert path.read_bytes() == before
 
+    def test_a_rerun_over_a_mistyped_record_is_a_data_error_and_writes_nothing(self, tmp_path,
+                                                                              capsys):
+        out = tmp_path / "records"
+        path = run_small(tmp_path, runs=1, out=out)
+        record = json.loads(path.read_text())
+        record["seed"] = "7"
+        path.write_text(json.dumps(record) + "\n")
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(["run", "--dataset", "s2d", "--runs", "2", "--generations", "2",
+                     "--seed", "7", "--out", str(out)]) == 2
+        assert f"{path}, line 1: not a run record: field 'seed'" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
     def test_bad_codename_is_usage_error(self, tmp_path):
         code = main([
             "run", "--dataset", "s2d", "--config", "ZZ", "--runs", "1",
@@ -324,6 +352,37 @@ class TestReport:
         assert f"{path}, line 2: {cause}" in err
         if "UB" in bad:
             assert "missing 12 required" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("test_r2", "abc"), ("test_r2", None), ("test_r2", float("nan")), ("train_r2", True),
+        ("train_r2", [0.5]), ("codename", 3), ("dataset", None), ("seed", 7.0), ("seed", True),
+        ("seed", "7"), ("dim", 2.5), ("generations", False), ("lcf_ratio", float("inf")),
+        ("mean_depth", float("nan")), ("wall_time_s", "1.0"), ("wall_time_s", -float("inf")),
+        ("history", {}), ("best_genes", "(var 1)"), ("best_coeffs", None),
+    ])
+    @pytest.mark.parametrize("command", [["report"], ["compare", "--config-a", "baseline",
+                                                      "--config-b", "baseline"]])
+    def test_a_field_of_the_wrong_type_is_a_data_error_naming_it(self, tmp_path, capsys,
+                                                                 field, value, command):
+        path = run_small(tmp_path, runs=2)
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record[field] = value
+        path.write_text(lines[0] + json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert main([command[0], str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 2: not a run record: field {field!r} must be" in err
+
+    def test_infinite_scores_and_integral_numbers_are_records(self, tmp_path, capsys):
+        # an invalid best individual scores -inf; JSON may write a float as an integer
+        path = run_small(tmp_path, runs=2)
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record.update(train_r2=-float("inf"), test_r2=-float("inf"), lcf_ratio=0, mean_depth=3)
+        path.write_text(lines[0] + json.dumps(record) + "\n")
+        assert main(["report", str(path)]) == 0
+        assert [r.test_r2 for r in load_records(path)][1] == -float("inf")
 
     def test_unterminated_last_line_that_parses_must_still_be_a_record(self, tmp_path, capsys):
         path = run_small(tmp_path)

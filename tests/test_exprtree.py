@@ -20,12 +20,18 @@ from mggp.exprtree import (
     pick_node,
     random_tree,
     logsig_is_increasing,
-    replace_subtree,
 )
 
 
 def lcf(index, a, b):
     return Lcf(index, LcfWeights(a, b))
+
+
+def copy_lcf_leaves(gene, copy_weights):
+    """``gene`` with new LCF leaves, each holding ``copy_weights(old set)`` in
+    slot order, as the engine copies an individual's genes."""
+    return gene.replace({slot: Lcf(n.index, copy_weights(n.weights))
+                         for slot, n in enumerate(gene.nodes) if isinstance(n, Lcf)})
 
 
 class Draw:
@@ -143,23 +149,40 @@ class TestStructure:
     def test_replace_root(self):
         gene = Gene(Func(Fn.ADD, (Var(1), Var(2))))
         sub = Const(5.0)
-        assert replace_subtree(gene, 2, sub) is sub  # the root is the last slot
+        assert gene.replace({2: sub}).root is sub  # the root is the last slot
 
     def test_replace_leaf(self):
         tree = Func(Fn.ADD, (Var(1), Var(2)))
         gene = Gene(tree)
-        out = replace_subtree(gene, 0, Const(5.0))
+        out = gene.replace({0: Const(5.0)}).root
         assert format_tree(out) == "(add (const 5.0) (var 2))"
         assert out.children[1] is tree.children[1]
-        out = replace_subtree(gene, 1, Const(5.0))
+        out = gene.replace({1: Const(5.0)}).root
         assert format_tree(out) == "(add (var 1) (const 5.0))"
         assert out.children[0] is tree.children[0]
+
+    def test_replace_keeps_the_tape_only_for_same_class_leaves(self):
+        w = LcfWeights(0.5, [1.0, 2.0])
+        gene = Gene(Func(Fn.ADD, (Func(Fn.MUL, (Var(1), Lcf(2, w))), Const(2.0))))
+        same = gene.replace({0: Var(2), 1: Lcf(1, w.copy()), 3: Const(-1.0)})
+        assert same.program is gene.program
+        assert format_tree(same.root) == "(add (mul (var 2) (lcf 1 0.5 1.0 2.0)) (const -1.0))"
+        assert same.nodes == Gene(same.root).nodes
+        for changes in ({0: Const(1.0)}, {3: Var(1)}, {0: Lcf(1, w)}, {1: Var(1)},
+                        {3: Func(Fn.SIN, (Var(1),))}, {2: Var(1)}, {4: Const(0.0)}):
+            new = gene.replace(changes)
+            fresh = Gene(new.root)
+            assert new.program is not gene.program and new.program == fresh.program
+            assert (new.depth, new.node_count, new.has_lcf) == (
+                fresh.depth, fresh.node_count, fresh.has_lcf)
 
     def test_stale_locator_raises(self):
         for gene in (Gene(Func(Fn.ADD, (Var(1), Var(2)))), Gene(Var(1))):
             for slot in (-2, -1, gene.node_count, gene.node_count + 1):
                 with pytest.raises(StructuralError):
-                    replace_subtree(gene, slot, Const(1.0))
+                    gene.replace({slot: Const(1.0)})
+                with pytest.raises(StructuralError):  # beside a valid slot
+                    gene.replace({0: Const(2.0), slot: Const(1.0)})
 
     def test_pick_node_is_uniform(self):
         tree = Func(
@@ -208,7 +231,7 @@ class TestStructure:
         for _ in range(200):
             slot, _ = pick_node(rng, gene)
             sub = random_tree(rng, int(rng.integers(0, 4)), "grow", tc)
-            gene = Gene(replace_subtree(gene, slot, sub))
+            gene = gene.replace({slot: sub})
             assert gene.depth == naive_depth(gene.root)
             assert gene.node_count == naive_count(gene.root)
 
@@ -216,7 +239,7 @@ class TestStructure:
         # the callable decides the sharing: memoised, one copy per old set
         w = LcfWeights(1.5, [2.0, 0.0])
         tree = Func(Fn.ADD, (Lcf(1, w), Lcf(1, w)))
-        cp = Gene(tree).copy(functools.cache(LcfWeights.copy)).root
+        cp = copy_lcf_leaves(Gene(tree), functools.cache(LcfWeights.copy)).root
         leaves = Gene(cp).lcf_leaves()
         assert leaves[0].weights is leaves[1].weights
         assert leaves[0].weights is not w
@@ -227,7 +250,7 @@ class TestStructure:
         w = LcfWeights(1.5, [2.0, 0.0])
         tree = Func(Fn.ADD, (Lcf(1, w), Func(Fn.SIN, (Lcf(1, w),))))
         seen = []
-        cp = Gene(tree).copy(lambda old: seen.append(old) or old.copy()).root
+        cp = copy_lcf_leaves(Gene(tree), lambda old: seen.append(old) or old.copy()).root
         first, second = Gene(cp).lcf_leaves()
         assert seen == [w, w]
         assert first.weights is not second.weights
@@ -339,9 +362,27 @@ class TestSerialisation:
             assert np.array_equal(eval_batch(back, X), eval_batch(tree, X), equal_nan=True)
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "(frob 1)", "(add (var 1))", "(var 1) extra", "(const x)"]:
-            with pytest.raises(StructuralError):
+        for bad in ["", "(frob 1)", "(add (var 1))", "(var 1) extra", "(const x)",
+                    # an index is a decimal integer, and a shorthand one fits the data
+                    "(var 1.7)", "(var 1.0)", "(var 1e0)", "(var nan)", "(var inf)",
+                    "(var -1)", "(var +1)", "(lcf 2.9)", "(lcf nan 0.5 1.0 2.0)",
+                    "(lcf 1.5 0.5 1.0 2.0)", "(add (var 1) (var 2.0))", "(var)", "(lcf",
+                    "(lcf 3)"]:
+            with pytest.raises(StructuralError, match="parse error"):
                 parse_tree(bad, dim=2)
+
+    def test_a_bad_index_is_named(self):
+        with pytest.raises(StructuralError, match=r"'1\.7'"):
+            parse_tree("(var 1.7)")
+        with pytest.raises(StructuralError, match="'nan'"):
+            parse_tree("(lcf nan 0.5 1.0 2.0)")
+
+    def test_decimal_indices_parse_and_round_trip(self):
+        tree = parse_tree("(add (var 12) (lcf 3 0.5 1.0 2.0 3.0))")
+        var, leaf = tree.children
+        assert (var.index, leaf.index) == (12, 3)
+        assert type(var.index) is int and type(leaf.index) is int
+        assert format_tree(parse_tree(format_tree(tree))) == format_tree(tree)
 
     def test_lcf_shorthand_needs_dim(self):
         with pytest.raises(StructuralError):

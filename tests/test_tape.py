@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from mggp import exprtree
 from mggp.backprop import backward, forward_trace
-from mggp.evolve import Individual
+from mggp.bench import Dataset
+from mggp.evolve import Engine, EngineConfig, Individual, ModeConfig
 from mggp.exprtree import (
     SLOT,
     Const,
@@ -30,7 +32,6 @@ from mggp.exprtree import (
     format_tree,
     pick_node,
     random_tree,
-    replace_subtree,
 )
 from mggp.fitness import LinearModel
 
@@ -375,7 +376,8 @@ def test_replace_subtree_matches_the_path_edit_and_shares_the_rest():
         for slot in rng.integers(0, gene.node_count, size=3):
             sub = random_tree(rng, int(rng.integers(0, 3)), "grow", tc)
             path = slot_paths[slot]
-            out = replace_subtree(gene, int(slot), sub)
+            edited = gene.replace({int(slot): sub})
+            out = edited.root
             assert format_tree(out) == format_tree(ref_replace_subtree(gene.root, path, sub))
             new, old = out, gene.root
             for i in path:  # off the edited path every subtree is the original's
@@ -383,7 +385,6 @@ def test_replace_subtree_matches_the_path_edit_and_shares_the_rest():
                            if k != i)
                 new, old = new.children[i], old.children[i]
             assert new is sub
-            edited = Gene(out)
             assert edited.program == Gene(ref_replace_subtree(gene.root, path, sub)).program
 
 
@@ -401,7 +402,8 @@ def test_gene_copy_reuses_the_tape_and_copies_the_lcf_leaves(shared):
 
         new_set = functools.cache(LcfWeights.copy) if shared else (lambda w: fresh_set(w, seen))
         ref_set = functools.cache(LcfWeights.copy) if shared else (lambda w: fresh_set(w, ref_seen))
-        copy = gene.copy(new_set)
+        copy = gene.replace({slot: Lcf(n.index, new_set(n.weights))
+                             for slot, n in enumerate(gene.nodes) if isinstance(n, Lcf)})
         assert format_tree(copy.root) == format_tree(ref_copy_tree(gene.root, ref_set))
         assert seen == ref_seen  # once per leaf, left to right
         fresh = Gene(copy.root)
@@ -425,3 +427,111 @@ def test_gene_copy_reuses_the_tape_and_copies_the_lcf_leaves(shared):
             assert np.array_equal(copy.output(X), gene.output(X), equal_nan=True)
         checked += gene.has_lcf
     assert checked > 100
+
+
+def subtree_sizes(gene):
+    """The node count of every slot's subtree, in slot order."""
+    sizes = []
+    for slot in range(gene.node_count):
+        a, b = gene.program[SLOT * slot + 2], gene.program[SLOT * slot + 3]
+        sizes.append(1 + (sizes[a] if a >= 0 else 0) + (sizes[b] if b >= 0 else 0))
+    return sizes
+
+
+def disjoint_slots(rng, gene, k):
+    """Up to ``k`` random slots of ``gene`` none of which lies in another's
+    subtree; in a postfix tape slot ``s`` spans ``s - size + 1 .. s``."""
+    sizes, spans = subtree_sizes(gene), []
+    for slot in rng.permutation(gene.node_count)[:k]:
+        lo, hi = slot - sizes[slot] + 1, slot
+        if all(hi < a or b < lo for a, b in spans):
+            spans.append((lo, hi))
+    return [hi for _, hi in spans]
+
+
+def assert_shares_untouched(new, old, changes, path=()):
+    """``new`` holds ``changes[path]`` at each changed path, the very node of
+    ``old`` off the changed paths, and a new operator node above a change."""
+    if path in changes:
+        assert new is changes[path]
+    elif not any(p[: len(path)] == path for p in changes):
+        assert new is old
+    else:
+        assert isinstance(new, Func) and new is not old and new.kind is old.kind
+        for i, (a, b) in enumerate(zip(new.children, old.children)):
+            assert_shares_untouched(a, b, changes, path + (i,))
+
+
+def test_replace_matches_a_fresh_compile_and_keeps_the_tape_for_same_class_leaves():
+    genes, rng = fuzzed_genes(12, 400)
+    tc = pooled_terminals(rng, 3)
+    kept = compiled = 0
+    for gene, donor in zip(genes, genes[1:] + genes[:1]):
+        slot_paths = list(post_order_paths(gene.root))
+        for _ in range(3):
+            slots = disjoint_slots(rng, gene, int(rng.integers(1, 4)))
+            same_class = rng.random() < 0.4  # leaves of the class each slot holds
+            changes = {}
+            for slot in slots:
+                old = gene.nodes[slot]
+                kind = int(rng.integers(5))
+                if same_class and not isinstance(old, Func):
+                    kind = 2 + [Const, Var, Lcf].index(type(old))
+                if kind == 0:  # a donor subtree
+                    new = donor.nodes[int(rng.integers(donor.node_count))]
+                elif kind == 1:  # a grown tree
+                    new = random_tree(rng, int(rng.integers(0, 4)), "grow", tc)
+                elif kind == 2:
+                    new = Const(rng.uniform(-10.0, 10.0))
+                elif kind == 3:
+                    new = Var(int(rng.integers(1, 4)))
+                else:
+                    new = tc.new_lcf(int(rng.integers(1, 4)))
+                changes[int(slot)] = new
+            out = gene.replace(changes)
+            ref = gene.root
+            for slot, new in changes.items():
+                ref = ref_replace_subtree(ref, slot_paths[slot], new)
+            fresh = Gene(ref)
+            assert format_tree(out.root) == format_tree(ref)
+            assert out.program == fresh.program
+            assert (out.depth, out.node_count, out.has_lcf) == (
+                fresh.depth, fresh.node_count, fresh.has_lcf)
+            assert [format_tree(n) for n in out.nodes] == [format_tree(n) for n in fresh.nodes]
+            assert_shares_untouched(out.root, gene.root,
+                                    {slot_paths[slot]: new for slot, new in changes.items()})
+            leaves = all(type(new) is type(gene.nodes[slot]) and not isinstance(new, Func)
+                         for slot, new in changes.items())
+            assert (out.program is gene.program) == leaves
+            kept += leaves
+            compiled += not leaves
+    assert kept > 100 and compiled > 100
+
+
+@pytest.mark.parametrize("codename", ["baseline", "UM", "SB", "GC"])
+def test_copies_constant_offsets_and_leaf_grafts_compile_nothing(codename, monkeypatch):
+    rng = np.random.default_rng(13)
+    X = rng.uniform(-1.0, 1.0, size=(30, 2))
+    mode = ModeConfig.from_codename(codename)
+    engine = Engine(EngineConfig.for_mode(mode), mode,
+                    Dataset("toy", X, X[:, 0] - X[:, 1], "train"), rng)
+    pop = engine.init_population()
+    compiled = []
+    compile_tree = exprtree.compile_tree
+    monkeypatch.setattr(exprtree, "compile_tree",
+                        lambda root: compiled.append(root) or compile_tree(root))
+    leaves = [next(s for s, n in enumerate(ind.genes[0].nodes) if not isinstance(n, Func))
+              for ind in pop]
+    offsets = 0
+    for ind, leaf in zip(pop, leaves):
+        engine.clone_individual(ind)
+        engine.clone_individual(ind, detach=True, fresh=True)
+        if any(isinstance(n, Const) for gene in ind.genes for n in gene.nodes):
+            engine.constant_mutation(ind)
+            offsets += 1
+        engine._graft(ind, 0, leaf, ind.genes[0].nodes[leaf])  # a leaf of the same class
+    assert compiled == [] and offsets > 10
+    for ind, leaf in zip(pop, leaves):  # a graft that changes the shape compiles once
+        child = engine._graft(ind, 0, leaf, Func(Fn.SIN, (Var(1),)))
+        assert len(compiled) == 1
+        assert format_tree(compiled.pop()) == format_tree(child.genes[0].root)
