@@ -29,8 +29,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+# ``exprtree.expit`` rebinds itself to scipy's ufunc on its first call, so
+# it is read through the module, never imported by name
+from . import exprtree as _exprtree
 from .exprtree import (
     N_BINARY,
     OP_CONST,
@@ -124,7 +126,7 @@ def forward_trace(individual, X, shared=frozenset(), epoch: int = 0) -> EvalTrac
 def _d_logsig(x, y, out, i):
     # d/dx 1/(1+e^x) = -s(1-s) with s = expit(x); written from ``out``
     # = 1 - s it would round differently
-    s = expit(x)
+    s = _exprtree.expit(x)
     return -(s * (1.0 - s))
 
 
@@ -143,7 +145,7 @@ DERIVATIVE = {
     Fn.LOGSIG: _d_logsig,
     Fn.TANH: lambda x, y, out, i: 1.0 - out * out,
     Fn.SINC: _d_sinc,
-    Fn.SOFTPLUS: lambda x, y, out, i: expit(x),
+    Fn.SOFTPLUS: lambda x, y, out, i: _exprtree.expit(x),
     Fn.GAUSS: lambda x, y, out, i: -2.0 * x * out,
     **{kind: (lambda x, y, out, i, k=k: k * x ** (k - 1)) for kind, k in POWER_EXPONENT.items()},
 }

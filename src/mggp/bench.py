@@ -165,7 +165,8 @@ def load_csv(path, target=-1, header: bool = False, name: str | None = None,
              role: str = "train") -> Dataset:
     """Load a numeric CSV; ``target`` is a column name (requires a header)
     or a 0-based index (negative allowed).  Empty lines are skipped, so the
-    header is the first non-empty row.  Non-numeric, missing or non-finite
+    header is the first non-empty row; it must have one cell per column, and
+    a target name must occur in it once.  Non-numeric, missing or non-finite
     cells raise :class:`DataError` naming row and column."""
     rows: list[list[float]] = []
     columns: list[str] | None = None
@@ -195,11 +196,15 @@ def load_csv(path, target=-1, header: bool = False, name: str | None = None,
         raise DataError(f"{path}: no data rows")
     table = np.array(rows)
     n_cols = table.shape[1]
+    if columns is not None and len(columns) != n_cols:
+        raise DataError(f"{path}: header has {len(columns)} cells, data rows have {n_cols}")
     if isinstance(target, str):
         if columns is None:
             raise DataError("selecting the target by name requires a header row")
         if target not in columns:
             raise DataError(f"target column {target!r} not in header {columns}")
+        if columns.count(target) > 1:
+            raise DataError(f"{path}: target column {target!r} repeats in header {columns}")
         t = columns.index(target)
     else:
         t = int(target)

@@ -278,13 +278,18 @@ class Engine:
 
     def tournament_select(self, pop: list[Individual]) -> Individual:
         """Sample ``tournament`` individuals with replacement; best by
-        fitness key, remaining ties split uniformly."""
+        fitness key, remaining ties split uniformly.  A candidate with a
+        current fit is ranked by its stored key; only a stale one (changed
+        weights, or a G-mode epoch bump) is fitted first."""
         draws = self.rng.integers(0, len(pop), size=self.cfg.tournament)
+        epoch = self.epoch
         best_key = None
         best: list[Individual] = []
         for i in draws:
             candidate = pop[int(i)]
-            key = self.fitness_key(candidate)
+            if candidate._fit_key != epoch:
+                self.evaluate(candidate)
+            key = candidate._rank
             if best_key is None or key > best_key:
                 best_key = key
                 best = [candidate]

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import StructuralError
 
@@ -187,6 +186,15 @@ class Lcf(Node):
 # One forward function per operator.  A tape names an operator by its opcode,
 # the position of its kind in ``Fn`` (the three binary kinds come first), and
 # dispatches through this table.
+
+
+def expit(x):
+    """The logistic ``1/(1+e^-x)``: scipy's ``expit`` ufunc, which this first
+    call imports and binds to this name, so that importing the package and
+    the commands that evaluate no tree do not load scipy."""
+    global expit
+    from scipy.special import expit
+    return expit(x)
 
 
 _KINDS = list(Fn)

@@ -217,6 +217,25 @@ class TestCsv:
         with pytest.raises(DataError, match=rf"target column {target} out of range for 3 columns"):
             load_csv(p, target=target)
 
+    @pytest.mark.parametrize("text, cells, columns", [
+        ("a,b,target\n1.0,2.0\n3.0,4.0\n", 3, 2),
+        ("x1,target\n1.0,2.0,3.0\n4.0,5.0,6.0\n", 2, 3),
+    ])
+    @pytest.mark.parametrize("target", ["target", -1])
+    def test_header_width_must_match_rows(self, tmp_path, text, cells, columns, target):
+        p = tmp_path / "w.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=rf"w\.csv: header has {cells} cells, "
+                                            rf"data rows have {columns}"):
+            load_csv(p, target=target, header=True)
+
+    def test_repeated_target_name_rejected(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text("target,x,target\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        with pytest.raises(DataError, match=r"dup\.csv: target column 'target' repeats"):
+            load_csv(p, target="target", header=True)
+        assert np.array_equal(load_csv(p, target="x", header=True).y, [2.0, 5.0])
+
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("1.0,2.0\n3.0\n")

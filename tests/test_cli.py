@@ -154,6 +154,21 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header, width, message", [
+        ("a,b,target", 2, "t.csv: header has 3 cells, data rows have 2"),
+        ("x1,target", 3, "t.csv: header has 2 cells, data rows have 3"),
+        ("target,x1,target", 3, "t.csv: target column 'target' repeats in header"),
+    ])
+    def test_a_csv_header_that_misnames_the_columns_is_a_data_error(self, tmp_path, capsys,
+                                                                     header, width, message):
+        rows = [",".join(str(k + c) for c in range(width)) for k in range(20)]
+        (tmp_path / "t.csv").write_text("".join(line + "\n" for line in [header, *rows]))
+        out = tmp_path / "records"
+        assert main(["run", "--dataset", str(tmp_path / "t.csv"), "--header", "--target-col",
+                     "target", "--runs", "1", "--generations", "1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_csv_is_loaded_once_and_split_per_run(self, tmp_path, monkeypatch):
         main(["gen", "s2d", "--seed", "2", "--out", str(tmp_path / "data")])
         csv = tmp_path / "data" / "s2d_train.csv"

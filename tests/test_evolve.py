@@ -228,6 +228,28 @@ class TestTournament:
         freqs = counts / n
         assert np.all(np.diff(freqs) > 0)
 
+    @pytest.mark.parametrize("codename", ["baseline", "GC"])
+    def test_only_a_stale_candidate_is_evaluated(self, monkeypatch, codename):
+        engine = make_engine(codename, seed=9, pop_size=10, tournament=200, elite=2)
+        pop = engine.init_population()
+        for ind in pop:
+            engine.evaluate(ind)
+        calls = []
+        evaluate = engine.evaluate
+        monkeypatch.setattr(engine, "evaluate", lambda ind: calls.append(ind) or evaluate(ind))
+        for _ in range(5):
+            engine.tournament_select(pop)
+        assert calls == []
+        if engine.table is not None:  # a G-mode epoch bump makes every fit stale
+            engine.table.bump()
+            stale = pop
+        else:
+            stale = [pop[3]]
+            pop[3].weights_changed()
+        for _ in range(5):
+            engine.tournament_select(pop)
+        assert sorted(map(id, calls)) == sorted(map(id, stale))
+
     def test_single_fitness_value_pool(self):
         engine = make_engine("baseline", seed=8, pop_size=10, tournament=3, elite=2)
         ind = Individual([Gene(Var(1))], 2)
