@@ -90,15 +90,14 @@ class EvalTrace:
         return [self.slots[gene][-1] for gene in individual.genes]
 
 
-def forward_trace(individual, X, shared=frozenset(), epoch: int = 0) -> EvalTrace:
+def forward_trace(individual, X, shared=frozenset()) -> EvalTrace:
     """Evaluate all genes, recording per-slot outputs.
 
     Root values are identical to :func:`mggp.exprtree.eval_batch` on the
     same trees.  A gene without LCF leaves records only its root, read
     through the cache of :meth:`Gene.output`: its value never changes and
-    the backward pass never enters it.  So does a gene in ``shared``, read
-    at the G-mode table ``epoch``; its sweeps are left to the caller (see
-    :func:`backward`'s ``held``).
+    the backward pass never enters it.  So does a gene in ``shared``,
+    whose sweeps are left to the caller (see :func:`backward`'s ``held``).
     """
     X = np.asarray(X, dtype=float)
     trace = EvalTrace(X)
@@ -109,7 +108,7 @@ def forward_trace(individual, X, shared=frozenset(), epoch: int = 0) -> EvalTrac
             if gene.has_lcf and gene not in shared:
                 trace.slots[gene] = run_tape(gene, X)
             else:
-                trace.slots[gene] = [None] * (gene.node_count - 1) + [gene.output(X, epoch)]
+                trace.slots[gene] = [None] * (gene.node_count - 1) + [gene.output(X)]
     return trace
 
 
@@ -308,8 +307,7 @@ def irprop_minus_step(grads: GradientTable, params: RpropParams = RpropParams())
         w.prev_grad = g
 
 
-def _descend(population, weight_sets, train, steps: int, moved, on_fit=None,
-             epoch=lambda: 0) -> bool:
+def _descend(population, weight_sets, train, steps: int, moved, on_fit=None) -> bool:
     """Up to ``steps`` iRprop- updates of ``weight_sets`` on the loss summed
     over ``population``, the one tuning loop of every mode.
 
@@ -317,27 +315,26 @@ def _descend(population, weight_sets, train, steps: int, moved, on_fit=None,
     each valid fit to ``on_fit(model, r2)`` (it scores the weights before
     the update), and sums the partials of those whose fit and gradient are
     finite in population order.  A member that holds the fit of its current
-    weights at ``epoch()`` (see :meth:`Individual.current_fit`) is still
-    traced but not refit.  No valid partial, or a non-finite sum, stops the
-    descent; otherwise one update is made and ``moved()`` is called.
-    Returns True when every step updated, leaving the last weights unscored.
+    weights (see :meth:`Individual.current_fit`) is still traced but not
+    refit.  No valid partial, or a non-finite sum, stops the descent;
+    otherwise one update is made and ``moved()`` is called, which must void
+    the cached outputs and fits of every holder of a moved set.  Returns
+    True when every step updated, leaving the last weights unscored.
 
-    A gene that several members hold is read from its output cache at
-    ``epoch()``, the table epoch that ``moved()`` bumps, when a holder is
-    traced, and its sweeps wait until every member is fit; then it is
-    traced and swept for all its holders (:func:`_sweep_shared`), and each
-    table is replayed before the tables are summed.
+    A gene that several members hold is read from its output cache when a
+    holder is traced, and its sweeps wait until every member is fit; then
+    it is traced and swept for all its holders (:func:`_sweep_shared`), and
+    each table is replayed before the tables are summed.
     """
     X, y = train.X, train.y
     tuned = [individual for individual in population if individual.has_lcf()]
     shared = _shared_genes(tuned)
     for _ in range(steps):
-        at = epoch()
         grads = []  # the fit members' tables, in population order
         held = {gene: [] for gene in shared}  # (residual2, c, sink) per holder position
         for individual in tuned:
-            trace = forward_trace(individual, X, shared, at)
-            model, r2 = individual.current_fit(at) or fit_and_score(trace.roots(individual), y)
+            trace = forward_trace(individual, X, shared)
+            model, r2 = individual.current_fit() or fit_and_score(trace.roots(individual), y)
             if model is None:
                 continue
             if on_fit is not None:
@@ -414,26 +411,27 @@ def tune(individual, train, budget: StepBudget = StepBudget()):
 
 
 class GlobalWeightTable:
-    """Population-wide weight sets, one per feature index, plus an epoch
-    counter so cached evaluations notice global updates."""
+    """Population-wide weight sets, one per feature index; a writer voids
+    every holder's caches (see :meth:`Individual.weights_changed`)."""
 
-    __slots__ = ("weights", "epoch")
+    __slots__ = ("weights",)
 
     def __init__(self, dim: int) -> None:
         self.weights = {i: LcfWeights.identity(i, dim) for i in range(1, dim + 1)}
-        self.epoch = 0
 
     def lookup(self, index: int) -> LcfWeights:
         return self.weights[index]
-
-    def bump(self) -> None:
-        self.epoch += 1
 
 
 def global_tune(population, table: GlobalWeightTable, train, steps: int = 2) -> None:
     """Shared-table tuning for the globally synchronised mode: each step sums
     the loss partials of every individual (its own freshly fit coefficients
     held fixed) per index group and makes one iRprop- update of the table's
-    weight sets, whose step-size state the whole population shares."""
-    _descend(population, list(table.weights.values()), train, steps, table.bump,
-             epoch=lambda: table.epoch)
+    weight sets, whose step-size state the whole population shares.  Each
+    update voids the caches of every member, LCF-free ones included."""
+
+    def moved() -> None:
+        for individual in population:
+            individual.weights_changed()
+
+    _descend(population, list(table.weights.values()), train, steps, moved)

@@ -126,19 +126,18 @@ class EngineConfig:
 class Individual:
     """A set of gene trees plus cached top-level model and fitness.
 
-    The fit is cached under the G-mode table epoch it was made at; an
-    in-place change of the individual's weights must be announced with
-    :meth:`weights_changed`.
+    The fit is current while ``_rank`` is set; an in-place change of the
+    individual's weights, private or shared, must be announced with
+    :meth:`weights_changed`, which voids it.
     """
 
-    __slots__ = ("genes", "dim", "model", "fitness", "_fit_key", "_rank")
+    __slots__ = ("genes", "dim", "model", "fitness", "_rank")
 
     def __init__(self, genes, dim: int) -> None:
         self.genes: list[Gene] = list(genes)
         self.dim = dim
         self.model = None
         self.fitness = None  # training R^2, -inf when the fit is invalid
-        self._fit_key = None
         self._rank = None  # ordering key, stored with the fit
 
     def total_nodes(self) -> int:
@@ -155,26 +154,26 @@ class Individual:
         """Distinct weight objects in first-encounter (pre-order) order."""
         return list(dict.fromkeys(node.weights for node in self.lcf_nodes()))
 
-    def gene_outputs(self, data, epoch: int = 0) -> list[np.ndarray]:
-        return [g.output(data.X, epoch) for g in self.genes]
+    def gene_outputs(self, data) -> list[np.ndarray]:
+        return [g.output(data.X) for g in self.genes]
 
-    def current_fit(self, epoch: int):
-        """The cached ``(model, fitness)`` if it was made at ``epoch``, else
-        None."""
-        return (self.model, self.fitness) if self._fit_key == epoch else None
+    def current_fit(self):
+        """The cached ``(model, fitness)`` if it is current, else None."""
+        return (self.model, self.fitness) if self._rank is not None else None
 
     def weights_changed(self, genes=None) -> None:
         """Drop the cached fit and the cached outputs of ``genes``, the ones
-        whose weights changed (by default every LCF gene).
+        whose weights changed (by default every LCF gene); the one way to
+        void a cached output or fit.
 
         In U and S mode every clone copies its LCF genes, so they belong to
-        this individual alone; in G mode the weights change only together
-        with the table epoch, which the caches key on anyway.
+        this individual alone; in G mode a write to the shared table calls
+        this on every individual that holds it.
         """
         for gene in self.genes if genes is None else genes:
             if gene.has_lcf:
                 gene.forget()
-        self._fit_key = None
+        self._rank = None
 
     def __repr__(self) -> str:
         return f"Individual({len(self.genes)} genes, {self.total_nodes()} nodes)"
@@ -223,24 +222,18 @@ class Engine:
 
     # -- evaluation ---------------------------------------------------
 
-    @property
-    def epoch(self) -> int:
-        return self.table.epoch if self.table is not None else 0
-
     def evaluate(self, ind: Individual) -> float:
-        epoch = self.epoch
-        if ind._fit_key == epoch:
+        if ind._rank is not None:
             return ind.fitness
-        return self.adopt_fit(ind, *_fitness.fit_linear(ind, self.train, epoch))
+        return self.adopt_fit(ind, *_fitness.fit_linear(ind, self.train))
 
     def adopt_fit(self, ind: Individual, model, r2: float) -> float:
         """Cache ``(model, r2)``, the fit of ``ind``'s current weights on the
-        training set, at the current epoch.  Every fit an individual is
-        given counts once in ``evaluations``, whether :meth:`evaluate` made
-        it or tuning or repair hands it over."""
+        training set, until :meth:`Individual.weights_changed` voids it.
+        Every fit an individual is given counts once in ``evaluations``,
+        whether :meth:`evaluate` made it or tuning or repair hands it over."""
         ind.model, ind.fitness = model, r2
         ind._rank = (r2, -ind.total_nodes())
-        ind._fit_key = self.epoch
         self.evaluations += 1
         return r2
 
@@ -262,8 +255,9 @@ class Engine:
         every LCF gene is copied: in U mode each leaf gets a set of its own,
         in S mode (and a detached G copy) each old set becomes one new set,
         so index groups stay shared.  The copies keep the iRprop state, or
-        start without it when ``fresh``.  Genes without LCF leaves are
-        immutable and stay shared.
+        start without it when ``fresh``, and their source's cached output,
+        which weights of equal values reproduce bit for bit.  Genes without
+        LCF leaves are immutable and stay shared.
         """
         if (self.mode.mode == "G" and not detach) or not ind.has_lcf():
             return Individual(list(ind.genes), ind.dim)
@@ -272,6 +266,8 @@ class Engine:
             copy_weights = functools.cache(copy_weights)  # sets hash by identity
         genes = [g.replace({s: Lcf(n.index, copy_weights(n.weights)) for s, n in enumerate(g.nodes)
                             if isinstance(n, Lcf)}) if g.has_lcf else g for g in ind.genes]
+        for gene, source in zip(genes, ind.genes):
+            gene._cached = source._cached
         return Individual(genes, ind.dim)
 
     # -- selection -----------------------------------------------------
@@ -279,15 +275,14 @@ class Engine:
     def tournament_select(self, pop: list[Individual]) -> Individual:
         """Sample ``tournament`` individuals with replacement; best by
         fitness key, remaining ties split uniformly.  A candidate with a
-        current fit is ranked by its stored key; only a stale one (changed
-        weights, or a G-mode epoch bump) is fitted first."""
+        current fit is ranked by its stored key; only a stale one (its own or
+        the shared table's weights changed) is fitted first."""
         draws = self.rng.integers(0, len(pop), size=self.cfg.tournament)
-        epoch = self.epoch
         best_key = None
         best: list[Individual] = []
         for i in draws:
             candidate = pop[int(i)]
-            if candidate._fit_key != epoch:
+            if candidate._rank is None:
                 self.evaluate(candidate)
             key = candidate._rank
             if best_key is None or key > best_key:
@@ -378,7 +373,8 @@ class Engine:
         """Offset every weight of one LCF node (U mode) or one whole index
         group (S and G modes) by i.i.d. draws from N(0, VAR_WM).  In G mode
         the offset lands on the shared global set and is therefore seen by
-        the entire population.  No-op without LCF leaves."""
+        the entire population, whose caches the caller voids.  No-op without
+        LCF leaves."""
         if not self.mode.uses_lcf:
             raise ValueError("weights mutation needs an LCF-enabled mode")
         o = self.clone_individual(ind)
@@ -395,8 +391,6 @@ class Engine:
         for w in targets:
             w.a += offset[0]
             w.b += offset[1:]
-        if self.mode.mode == "G":
-            self.table.bump()
         o.weights_changed()
         return o
 
@@ -505,6 +499,9 @@ class Engine:
                 kind = draw_mutation_kind(self.rng, self.pr_wm)
                 if kind == "weights":
                     batch = [self.weights_mutation(parent)]
+                    if self.mode.mode == "G" and parent.has_lcf():  # the shared table moved
+                        for ind in pop + offspring:
+                            ind.weights_changed()
                 elif kind == "constant":
                     batch = [self.constant_mutation(parent)]
                 else:
@@ -523,7 +520,7 @@ class Engine:
         new_pop = list(elites) + offspring
         if self.mode.mode == "G":
             global_tune(new_pop, self.table, self.train)
-        for ind in new_pop:  # fit the rest; in G mode refit all at the new epoch
+        for ind in new_pop:  # fit the rest; in G mode refit all after the update
             self.evaluate(ind)
         return new_pop
 

@@ -422,10 +422,9 @@ class Gene:
     measures.
 
     A gene also caches its output on the last input array it was evaluated
-    on.  A tree without LCF leaves never changes value, so its output hits
-    whenever the same array object comes back.  A tree with LCF leaves also
-    keys on the G-mode table epoch; an in-place change of its private
-    weights must be followed by :meth:`forget`.
+    on, and hits whenever the same array object comes back.  A tree without
+    LCF leaves never changes value; an in-place change of a tree's weights,
+    private or shared, must be followed by :meth:`forget`.
     """
 
     __slots__ = ("root", "program", "nodes", "depth", "node_count", "has_lcf", "_cached")
@@ -435,7 +434,7 @@ class Gene:
         self.program, self.nodes, self.depth = compile_tree(root)
         self.node_count = len(self.nodes)
         self.has_lcf = bool(self.program[-SLOT + 1])
-        self._cached = None  # (input array, key, output)
+        self._cached = None  # (input array, output)
 
     def replace(self, changes: dict[int, Node]) -> "Gene":
         """This gene with ``changes[slot]`` in place of the subtree at each
@@ -467,16 +466,14 @@ class Gene:
         """LCF leaves in left-to-right (pre-order) order."""
         return [n for n in self.nodes if isinstance(n, Lcf)] if self.has_lcf else []
 
-    def output(self, X, epoch: int = 0) -> np.ndarray:
+    def output(self, X) -> np.ndarray:
         """The gene's value on the rows of ``X``, from the cache when ``X`` is
-        the cached array itself and, for a gene with LCF leaves, ``epoch``
-        is the cached epoch."""
-        key = epoch if self.has_lcf else None
+        the cached array itself."""
         hit = self._cached
-        if hit is not None and hit[0] is X and hit[1] == key:
-            return hit[2]
+        if hit is not None and hit[0] is X:
+            return hit[1]
         out = eval_batch(self.root, X, self)
-        self._cached = (X, key, out)
+        self._cached = (X, out)
         return out
 
     def forget(self) -> None:

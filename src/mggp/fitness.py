@@ -84,18 +84,18 @@ def fit_and_score(columns, y) -> tuple[LinearModel | None, float]:
     return model, r2
 
 
-def fit_linear(individual, data, epoch: int = 0) -> tuple[LinearModel | None, float]:
+def fit_linear(individual, data) -> tuple[LinearModel | None, float]:
     """Fit the top-level model of ``individual`` on ``data`` and score it.
 
     Pure: caches live on genes, never on the result.
     """
-    return fit_and_score(individual.gene_outputs(data, epoch), data.y)
+    return fit_and_score(individual.gene_outputs(data), data.y)
 
 
-def evaluate(individual, data, epoch: int = 0) -> float:
+def evaluate(individual, data) -> float:
     """Training fitness of ``individual`` on ``data``: R^2 (maximised), or
     ``-inf`` when the fit is invalid."""
-    return fit_linear(individual, data, epoch)[1]
+    return fit_linear(individual, data)[1]
 
 
 def lcf_ratio(individual) -> float:

@@ -100,9 +100,11 @@ def ref_tune(individual, train, budget):
 
 
 def ref_global_tune(population, table, train, steps):
-    """The earlier population-wide loop; returns why it stopped."""
+    """The earlier population-wide loop; returns why it stopped and after
+    how many updates."""
     X, y = train.X, train.y
     sets = list(table.weights.values())
+    moves = 0
     for _ in range(steps):
         total = bp.GradientTable(sets)
         any_valid = False
@@ -123,12 +125,14 @@ def ref_global_tune(population, table, train, steps):
                     entry[1] += d_b
             any_valid = True
         if not any_valid:
-            return "nothing valid"
+            return "nothing valid", moves
         if not total.check_finite():
-            return "sum"
+            return "sum", moves
         bp.irprop_minus_step(total)
-        table.bump()
-    return "budget"
+        moves += 1
+        for individual in population:
+            individual.weights_changed()
+    return "budget", moves
 
 
 # ---------------------------------------------------------------------------
@@ -321,26 +325,43 @@ def test_tune_matches_when_a_step_fails(monkeypatch, mode, hook, poison, why):
     assert {0, 1, 2, 3} <= moved
 
 
-def global_both(seed, rounds=2, wrap=lambda run: run(), case=population_case):
+def counted_updates(monkeypatch, run) -> int:
+    """The number of iRprop- updates ``run()`` makes."""
+    original, updates = bp.irprop_minus_step, []
+
+    def counting(*args):
+        updates.append(args)
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bp, "irprop_minus_step", counting)
+        run()
+    return len(updates)
+
+
+def global_both(monkeypatch, seed, rounds=2, wrap=lambda run: run(), case=population_case):
     population, table, train, steps = case(seed)
     ref_population, ref_table, ref_train, _ = case(seed)
     stops = []
     for _ in range(rounds):
-        stops.append(wrap(lambda: ref_global_tune(ref_population, ref_table, ref_train, steps)))
-        wrap(lambda: global_tune(population, table, train, steps))
-        assert table.epoch == ref_table.epoch
+        stop, ref_moves = wrap(
+            lambda: ref_global_tune(ref_population, ref_table, ref_train, steps))
+        stops.append(stop)
+        moves = counted_updates(monkeypatch,
+                                lambda: wrap(lambda: global_tune(population, table, train, steps)))
+        assert moves == ref_moves
         assert_same_state(list(table.weights.values()), list(ref_table.weights.values()))
     return stops
 
 
-def test_global_tune_matches_the_population_loop():
+def test_global_tune_matches_the_population_loop(monkeypatch):
     stops = []
     for seed in range(40):
-        stops += global_both(seed)
+        stops += global_both(monkeypatch, seed)
     assert set(stops) == {"budget", "nothing valid", "sum"}
 
 
-def test_global_tune_matches_the_population_loop_on_shared_genes():
+def test_global_tune_matches_the_population_loop_on_shared_genes(monkeypatch):
     stops = []
     seen = set()
     for seed in range(60):
@@ -352,7 +373,7 @@ def test_global_tune_matches_the_population_loop_on_shared_genes():
         seen |= {"overflow" for gene, n in counts.items()
                  if n > 1 and getattr(gene.root, "kind", None) in (Fn.EXP, Fn.SIN)
                  and gene.node_count == 3}
-        stops += global_both(seed, case=shared_population_case)
+        stops += global_both(monkeypatch, seed, case=shared_population_case)
     assert seen == {"shared", "unshared", "twice", "lcf-free", "overflow"}
     assert set(stops) == {"budget", "nothing valid", "sum"}
 
@@ -361,7 +382,7 @@ def test_global_tune_matches_the_population_loop_on_shared_genes():
 def test_global_tune_matches_when_a_member_fails(monkeypatch, hook, poison):
     for seed in (1, 2, 4, 5, 7):
         for k in range(6):
-            global_both(seed, rounds=1,
+            global_both(monkeypatch, seed, rounds=1,
                         wrap=lambda run: failing_on_call(monkeypatch, hook, k, poison, run))
 
 
@@ -369,7 +390,7 @@ def test_global_tune_matches_when_a_member_holding_shared_genes_fails(monkeypatc
     for hook, poison in [("fit_and_score", no_fit), ("backward", nan_gradient)]:
         for seed in (0, 1, 3, 4, 6, 7):
             for k in range(8):
-                global_both(seed, rounds=1, case=shared_population_case,
+                global_both(monkeypatch, seed, rounds=1, case=shared_population_case,
                             wrap=lambda run: failing_on_call(monkeypatch, hook, k, poison, run))
 
 
@@ -438,29 +459,37 @@ def test_every_tuned_member_is_traced_and_swept_through_the_public_functions(mon
             seen.add(mode)
         population, table, train, steps = shared_population_case(seed)
         tuned = [ind for ind in population if ind.has_lcf()]
+        voided = Counter()  # every update voids every member, LCF-free ones too
+        weights_changed = Individual.weights_changed
+        monkeypatch.setattr(Individual, "weights_changed",
+                            lambda ind: voided.update([id(ind)]) or weights_changed(ind))
         log = descent_log(monkeypatch, lambda: global_tune(population, table, train, steps))
+        monkeypatch.undo()
         done, swept, rest = descent_steps(log, tuned, steps)
-        assert rest == [] and table.epoch == log.count(("update",)) in (done, done - 1)
+        updates = log.count(("update",))
+        assert rest == [] and updates in (done, done - 1)
+        assert [voided[id(ind)] for ind in population] == [updates] * len(population)
         counts = holder_counts(population)
         if any(counts.get(gene, 0) > 1 for ind in swept for gene in ind.genes):
             seen.add("G holder swept")
     assert seen == {"U", "S", "G holder swept"}
 
 
-def test_global_tune_stops_quietly_when_the_sum_overflows():
+def test_global_tune_stops_quietly_when_the_sum_overflows(monkeypatch):
     # every member's partials are finite, their sum is not: the descent
     # stops on the sum without warning the caller
     overflowed = 0
     for seed in range(40):
         population, table, train, steps = population_case(seed)
         ref_population, ref_table, ref_train, _ = population_case(seed)
-        stop = ref_global_tune(ref_population, ref_table, ref_train, steps)
+        stop, ref_moves = ref_global_tune(ref_population, ref_table, ref_train, steps)
         if stop != "sum":
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            global_tune(population, table, train, steps)
-        assert table.epoch == ref_table.epoch < steps
+            moves = counted_updates(monkeypatch,
+                                    lambda: global_tune(population, table, train, steps))
+        assert moves == ref_moves < steps
         assert_same_state(list(table.weights.values()), list(ref_table.weights.values()))
         overflowed += 1
     assert overflowed >= 2
@@ -500,9 +529,9 @@ def test_global_tune_traces_and_differentiates_a_shared_gene_once_per_step(monke
     monkeypatch.setattr(bp, "run_tape", counting_tape)
     monkeypatch.setattr(bp, "_DERIVATIVE_BY_OP",
                         tuple(counting(kind, d) for kind, d in zip(Fn, bp._DERIVATIVE_BY_OP)))
-    global_tune(population, table, train, steps=1)
-    assert table.epoch == 1
+    updates = counted_updates(monkeypatch, lambda: global_tune(population, table, train, steps=1))
+    assert updates == 1
     assert taped.count(shared) == 1 and taped.count(own) == 1
     assert Counter(derived) == Counter([Fn.SIN, Fn.ADD, Fn.POW2, Fn.TANH])
     monkeypatch.undo()
-    assert global_both(0, case=star_case) == ["budget", "budget"]
+    assert global_both(monkeypatch, 0, case=star_case) == ["budget", "budget"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mggp import evolve
+from mggp.backprop import global_tune
 from mggp.bench import Dataset, gen_sigmoid
 from mggp.errors import DataError, DegenerateDataError
 from mggp.evolve import (
@@ -218,7 +219,6 @@ class TestTournament:
             ind = Individual([Gene(Var(1))], 2)
             ind.fitness = k / 10.0
             ind._rank = (k / 10.0, -1)
-            ind._fit_key = engine.epoch
             pop.append(ind)
         counts = np.zeros(6)
         n = 10_000
@@ -240,8 +240,8 @@ class TestTournament:
         for _ in range(5):
             engine.tournament_select(pop)
         assert calls == []
-        if engine.table is not None:  # a G-mode epoch bump makes every fit stale
-            engine.table.bump()
+        if engine.table is not None:  # a shared-table update makes every fit stale
+            global_tune(pop, engine.table, engine.train, steps=1)
             stale = pop
         else:
             stale = [pop[3]]
@@ -501,11 +501,15 @@ class TestMutations:
         table = engine.table
         ind = Individual([Gene(Lcf(1, table.lookup(1)))], 2)
         before = table.lookup(1).values()
-        epoch = table.epoch
-        engine.weights_mutation(ind)
+        engine.evaluate(ind)
+        out = engine.weights_mutation(ind)
         after = table.lookup(1).values()
         assert after[0] != before[0] or not np.array_equal(after[1], before[1])
-        assert table.epoch == epoch + 1
+        # the offspring holds the moved set and its gene's output is void;
+        # voiding the other holders is step_generation's part
+        assert out.lcf_nodes()[0].weights is table.lookup(1)
+        X = engine.train.X
+        assert np.array_equal(out.genes[0].output(X), eval_batch(out.genes[0].root, X))
 
 
 def s_mode_parent(dim=2):
